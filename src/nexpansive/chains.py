@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nexpansive.space import ExtraPoint, aug_dist, aug_map, canonical_key
+from nexpansive.base import dyadic
+from nexpansive.space import (
+    ExtraPoint,
+    aug_dist,
+    aug_map,
+    canonical_key,
+    project,
+)
 
 
 @dataclass(frozen=True)
@@ -26,15 +33,56 @@ class ChainGraph:
 
 
 def build_chain_graph(sample, eps):
-    """Exact one-step reachability graph of the sample at resolution eps."""
+    """Exact one-step reachability graph of the sample at resolution eps.
+
+    An edge u -> v means aug_dist(f(u), v) < eps. Two facts of the metric
+    narrow the pairs that need that exact test, without losing an edge:
+
+    * Cylinder buckets. Let depth be the least integer >= -1 with
+      2**-(depth+1) < eps. The tag gap is never negative, so an edge
+      forces base_dist(project(f(u)), project(v)) < eps, and so the two
+      projections agree on [-depth, depth]. Only nodes whose projection
+      spells the same word there as project(f(u)) are tested. For eps > 1,
+      depth = -1 and every node shares the one empty-word bucket.
+    * Isolated satellites. The tag gap of a pair involving a level-k
+      satellite is at least 1/k. A satellite with 1/k >= eps therefore
+      steps only to its own image and is reached only from its preimage,
+      so it sits in no bucket and gets at most that single successor.
+
+    Every remaining candidate is confirmed with aug_dist. Successors are
+    listed in ascending node index.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     nodes = tuple(sorted(set(sample), key=canonical_key))
-    images = [aug_map(u) for u in nodes]
-    adjacency = tuple(
-        tuple(vi for vi, v in enumerate(nodes) if aug_dist(images[ui], v) < eps)
-        for ui in range(len(nodes)))
-    return ChainGraph(epsilon=eps, nodes=nodes, adjacency=adjacency)
+    index = {v: i for i, v in enumerate(nodes)}
+    depth = -1
+    while dyadic(depth + 1) >= eps:
+        depth += 1
+
+    def isolated(x):
+        return isinstance(x, ExtraPoint) and Fraction(1, x.k) >= eps
+
+    def cylinder(x):
+        return project(x).window(-depth, depth + 1)
+
+    buckets = {}
+    for vi, v in enumerate(nodes):
+        if not isolated(v):
+            buckets.setdefault(cylinder(v), []).append(vi)
+    adjacency = []
+    for u in nodes:
+        image = aug_map(u)
+        if isolated(u):
+            adjacency.append((index[image],) if image in index else ())
+        else:
+            # From a list, not a generator: tuple() would grow a guessed
+            # size by resizing, and the resized tuples pile up in the
+            # interpreter's free lists, raising peak memory over many calls.
+            adjacency.append(tuple([
+                vi for vi in buckets.get(cylinder(image), ())
+                if aug_dist(image, nodes[vi]) < eps]))
+    return ChainGraph(epsilon=eps, nodes=nodes, adjacency=tuple(adjacency))
 
 
 def _tarjan_sccs(adjacency):
@@ -112,10 +160,11 @@ def chain_classes(graph):
         else:
             transient.append(comp[0])
     classes.sort(key=lambda comp: comp[0])
+    # Tuples from lists, as in build_chain_graph, to keep peak memory flat.
     return ClassPartition(
         epsilon=graph.epsilon,
-        classes=tuple(tuple(graph.nodes[i] for i in comp) for comp in classes),
-        transient=tuple(graph.nodes[i] for i in sorted(transient)))
+        classes=tuple(tuple([graph.nodes[i] for i in comp]) for comp in classes),
+        transient=tuple([graph.nodes[i] for i in sorted(transient)]))
 
 
 def isolation_certificate(q, eps, sample):

@@ -263,11 +263,16 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
                edges_csv=edges_csv, expect_min_classes=expect_min_classes)
     sys = run.system
     k_hi = run.param("k_hi")
+    if k_hi < 1:
+        raise click.UsageError("k_hi must be >= 1")
     eps = (Fraction(1, 2 * k_hi) if run.param("eps") is None
            else run.fraction("eps"))
-    sample = construction_sample(sys, extras_k_hi=k_hi, orbits_k_hi=k_hi,
-                                 random_count=0)
-    graph = build_chain_graph(sample, eps)
+    try:
+        sample = construction_sample(sys, extras_k_hi=k_hi, orbits_k_hi=k_hi,
+                                     random_count=0)
+        graph = build_chain_graph(sample, eps)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     part = chain_classes(graph)
     satellite_classes = sum(
         1 for cls in part.classes if all(isinstance(p, ExtraPoint) for p in cls))
@@ -285,6 +290,8 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
         Path(csv_path).write_text(chain_edges_csv(graph))
     expect = run.param("expect_min_classes")
     ok = expect is None or part.class_count() >= expect
+    if not ok:
+        click.echo(f"classes: {part.class_count()} classes < expected {expect}")
     run.emit("classes", payload, ok)
 
 

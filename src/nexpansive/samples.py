@@ -8,6 +8,7 @@ core lengths are capped), keeping all downstream arithmetic small.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -48,11 +49,17 @@ def random_biseq(rng, max_period=6, max_core=8, max_offset=4):
                  rng.randint(-max_offset, max_offset))
 
 
+@functools.lru_cache(maxsize=64)
+def _satellite_levels(sys, k_hi):
+    """The levels up to k_hi that carry at least one satellite copy."""
+    return tuple(k for k in range(1, k_hi + 1) if sys.multiplicity(k) >= 1)
+
+
 def random_point(sys, rng, k_hi=None, extra_share=0.4):
     """A random point, satellite with probability extra_share."""
     k_hi = sys.k_max if k_hi is None else k_hi
     if rng.random() < extra_share:
-        choices = [k for k in range(1, k_hi + 1) if sys.multiplicity(k) >= 1]
+        choices = _satellite_levels(sys, k_hi)
         if choices:
             k = rng.choice(choices)
             return ExtraPoint(rng.randint(1, sys.multiplicity(k)), k,

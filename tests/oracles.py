@@ -9,7 +9,14 @@ import math
 from fractions import Fraction
 
 from nexpansive.base import assemble, base_dist
-from nexpansive.space import aug_dist, aug_iterate, project
+from nexpansive.chains import ChainGraph
+from nexpansive.space import (
+    aug_dist,
+    aug_iterate,
+    aug_map,
+    canonical_key,
+    project,
+)
 
 
 def description_span(*seqs):
@@ -86,6 +93,18 @@ def brute_ball_members(center, radius, universe):
         (y for y in set(universe) | {center}
          if brute_sup_orbit(center, y) <= radius),
         key=repr)
+
+
+def brute_chain_graph(sample, eps):
+    """The chain graph by testing aug_dist(f(u), v) < eps on every pair."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    nodes = tuple(sorted(set(sample), key=canonical_key))
+    images = [aug_map(u) for u in nodes]
+    adjacency = tuple(
+        tuple(vi for vi, v in enumerate(nodes) if aug_dist(images[ui], v) < eps)
+        for ui in range(len(nodes)))
+    return ChainGraph(epsilon=eps, nodes=nodes, adjacency=adjacency)
 
 
 def closure_classes(adjacency):

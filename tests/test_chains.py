@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexpansive.base import BiSeq, periodic_orbit, periodic_point
 from nexpansive.space import BasePoint, ExtraPoint, aug_dist, aug_map
 from nexpansive.chains import (
+    ChainGraph,
     build_chain_graph,
     chain_classes,
     edges_csv,
     isolation_certificate,
 )
-from nexpansive.samples import random_point
-from oracles import closure_classes
+from nexpansive.samples import construction_sample, random_point
+from oracles import brute_chain_graph, closure_classes
 
 
 def construction_points(sys, k_hi):
@@ -61,6 +64,110 @@ class TestGraph:
         lines = edges_csv(g).strip().splitlines()
         assert lines[0] == "u,v"
         assert len(lines) == 1 + g.edge_count()
+
+
+def assert_matches_brute(sample, eps):
+    got = build_chain_graph(sample, eps)
+    assert got == brute_chain_graph(sample, eps)
+    return got
+
+
+def assert_matches_brute_at(sample, epss):
+    """Compare at several eps with one all-pairs pass, at the coarsest.
+
+    An edge at a finer eps is an edge at every coarser one, so the brute
+    graph at a finer eps is the coarse one restricted by the exact test.
+    """
+    epss = sorted(epss, reverse=True)
+    coarse = assert_matches_brute(sample, epss[0])
+    images = [aug_map(u) for u in coarse.nodes]
+    for eps in epss[1:]:
+        want = tuple(tuple(vi for vi in succ
+                           if aug_dist(images[ui], coarse.nodes[vi]) < eps)
+                     for ui, succ in enumerate(coarse.adjacency))
+        assert build_chain_graph(sample, eps) == ChainGraph(
+            epsilon=eps, nodes=coarse.nodes, adjacency=want)
+
+
+class TestAgainstBruteForce:
+    def test_criterion_10_style_samples(self, sys3):
+        rng = random.Random(131)
+        for _ in range(12):
+            sample = [BasePoint(s) for k in rng.sample(range(1, 13), 4)
+                      for s in periodic_orbit(k)]
+            sample += sys3.extra_points(rng.randint(2, 6))
+            sample += [random_point(sys3, rng, 10)
+                       for _ in range(rng.randint(5, 80))]
+            assert_matches_brute(sample[:200], Fraction(1, rng.randint(2, 48)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 25),
+           st.fractions(min_value=Fraction(1, 200), max_value=3,
+                        max_denominator=200))
+    def test_small_random_samples(self, sys3, seed, size, eps):
+        rng = random.Random(seed)
+        sample = [random_point(sys3, rng, 12, extra_share=0.5)
+                  for _ in range(size)]
+        assert_matches_brute(sample, eps)
+
+    @pytest.mark.parametrize("k_hi", [12, 20])
+    def test_construction_samples(self, sys3, k_hi):
+        sample = construction_sample(sys3, extras_k_hi=k_hi, orbits_k_hi=k_hi,
+                                     random_count=0)
+        assert_matches_brute_at(
+            sample, {Fraction(1, K) for K in (12, 24, 48, 96, 2 * k_hi)})
+
+    def test_finite_expansive_variant(self, fe):
+        sample = construction_sample(fe, extras_k_hi=8, orbits_k_hi=6,
+                                     random_count=10)
+        assert_matches_brute_at(
+            sample, [Fraction(1, 4), Fraction(1, 6), Fraction(1, 16)])
+
+    def test_duplicate_nodes(self, sys3):
+        sample = [BasePoint(periodic_point(3).shift(j)) for j in range(9)]
+        sample += [ExtraPoint(1, 3, j % 4) for j in range(8)] * 2
+        sample += [BasePoint(BiSeq("01", "1", "0", 2))] * 3
+        g = assert_matches_brute(sample, Fraction(1, 3))
+        assert len(g.nodes) == 4 + 4 + 1
+
+    @pytest.mark.parametrize("eps", [Fraction(10), Fraction(1)])
+    def test_coarse_eps(self, sys3, eps):
+        rng = random.Random(137)
+        sample = [random_point(sys3, rng, 6) for _ in range(30)]
+        sample += [BasePoint(s) for s in periodic_orbit(3)]
+        g = assert_matches_brute(sample, eps)
+        if eps > 1:
+            assert all(len(a) == len(g.nodes) for a in g.adjacency)
+
+    def test_eps_equal_to_a_present_level(self, sys3):
+        k = 4
+        sample = [ExtraPoint(i, k, j) for i in (1, 2) for j in range(k + 1)]
+        sample += [BasePoint(s) for s in periodic_orbit(k)]
+        sample += [ExtraPoint(1, k + 1, j) for j in range(k + 2)]
+        sample += [BasePoint(s) for s in periodic_orbit(k + 1)]
+        eps = Fraction(1, k)
+        g = assert_matches_brute(sample, eps)
+        q = ExtraPoint(1, k, 0)
+        near = BasePoint(periodic_point(k).shift(1))
+        assert aug_dist(aug_map(q), near) == eps
+        assert g.adjacency[g.nodes.index(q)] == (
+            g.nodes.index(ExtraPoint(1, k, 1)),)
+        preimage = BasePoint(periodic_point(k).shift(-1))
+        assert aug_dist(aug_map(preimage), q) == eps
+        assert g.nodes.index(q) not in g.adjacency[g.nodes.index(preimage)]
+        # A level-(k+1) satellite is not isolated at 1/k: it also steps to
+        # the base orbit it shadows.
+        r = ExtraPoint(1, k + 1, 0)
+        assert g.nodes.index(BasePoint(periodic_point(k + 1).shift(1))) in \
+            g.adjacency[g.nodes.index(r)]
+
+    def test_satellite_whose_image_is_missing(self, sys3):
+        q = ExtraPoint(1, 6, 6)
+        sample = [q, ExtraPoint(1, 6, 3), ExtraPoint(2, 6, 0)]
+        sample += [BasePoint(s) for s in periodic_orbit(6)]
+        g = assert_matches_brute(sample, Fraction(1, 12))
+        assert aug_map(q) not in g.nodes
+        assert g.adjacency[g.nodes.index(q)] == ()
 
 
 class TestClasses:

@@ -71,6 +71,19 @@ def test_classes_failure_exits_one(runner, tmp_path):
                                   "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert load(tmp_path, "classes")["ok"] is False
+    assert "classes: 15 classes < expected 999" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--eps", "0/1"],
+    ["--eps", "-1/3"],
+    ["--k-hi", "80"],
+    ["--k-hi", "0"],
+])
+def test_classes_invalid_input_exits_two(runner, tmp_path, args):
+    result = runner.invoke(main, ["classes"] + args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
 
 
 def test_stable_count_and_radius(runner, tmp_path):
