@@ -45,6 +45,16 @@ def _rot(word, t):
     return word[t:] + word[:t]
 
 
+def _cycle(word, phase, n):
+    """The n symbols of word repeated forever, read from index phase."""
+    phase %= len(word)
+    head = word[phase:phase + n]
+    if len(head) == n:
+        return head
+    reps, rest = divmod(n - len(head), len(word))
+    return head + word * reps + word[:rest]
+
+
 class BiSeq:
     """An eventually periodic bi-infinite binary sequence.
 
@@ -131,27 +141,34 @@ class BiSeq:
         """The word of symbols at indices lo..hi-1."""
         if hi <= lo:
             return ""
-        parts = []
-        o, e = self.offset, self.core_end
-        if lo < min(hi, o):
-            b = min(hi, o)
-            p = len(self.left)
-            phase = (lo - o) % p
-            reps = (b - lo + phase) // p + 1
-            parts.append((self.left * reps)[phase:phase + (b - lo)])
-        if max(lo, o) < min(hi, e):
-            parts.append(self.core[max(lo, o) - o:min(hi, e) - o])
-        if max(lo, e) < hi:
-            a = max(lo, e)
-            q = len(self.right)
-            phase = (a - e) % q
-            reps = (hi - a + phase) // q + 1
-            parts.append((self.right * reps)[phase:phase + (hi - a)])
-        return "".join(parts)
+        o = self.offset
+        e = o + len(self.core)
+        if lo >= e:
+            return _cycle(self.right, lo - e, hi - lo)
+        if hi <= o:
+            return _cycle(self.left, lo - o, hi - lo)
+        word = self.core[max(lo - o, 0):hi - o]
+        if lo < o:
+            word = _cycle(self.left, lo - o, o - lo) + word
+        if hi > e:
+            word += _cycle(self.right, 0, hi - e)
+        return word
 
     def shift(self, t):
-        """The sequence y with y[i] == self[i + t]."""
-        return BiSeq(self.left, self.core, self.right, self.offset - t)
+        """The sequence y with y[i] == self[i + t].
+
+        The shift of a canonical description is canonical with the same
+        words, except that a globally periodic one stays pinned at index 0
+        and rotates its period instead, so no re-canonicalization is needed.
+        """
+        y = object.__new__(BiSeq)
+        if self.is_periodic:
+            y.left = y.right = _rot(self.left, t)
+            y.core, y.offset = "", 0
+        else:
+            y.left, y.core, y.right = self.left, self.core, self.right
+            y.offset = self.offset - t
+        return y
 
     def reverse(self):
         """The sequence y with y[i] == self[-i]."""
@@ -171,53 +188,59 @@ class BiSeq:
 _PROBE = 16
 
 
+def _diff_bits(xs, ys):
+    """Bitmask of the positions where two equal-length 0/1 words differ.
+
+    Bit 0 is the last symbol, bit len - 1 the first.
+    """
+    return int(xs, 2) ^ int(ys, 2)
+
+
 def first_mismatch_fwd(x, y, start=0):
     """Smallest index >= start where x and y disagree, or None.
 
-    Beyond both cores the sequences are tail-periodic, so scanning one
-    common period past that point decides agreement on the whole ray.
-    A short probe window is tried first; most lookups disagree early.
+    From s0 = max(start, both core ends) on, x has period p = len(x.right)
+    and y period q = len(y.right). If they agree on the p + q - gcd(p, q)
+    symbols from s0, that common word has both periods, so by Fine and
+    Wilf it has period gcd(p, q), and both tails then repeat the same
+    gcd(p, q) symbols on the whole ray. The scan therefore stops there
+    instead of at lcm(p, q). It compares windows of doubling length,
+    starting with a short probe, since most lookups disagree early.
     """
     s0 = max(start, x.core_end, y.core_end)
-    hi = s0 + math.lcm(len(x.right), len(y.right))
-    if hi > start + _PROBE:
-        xs = x.window(start, start + _PROBE)
-        ys = y.window(start, start + _PROBE)
+    p, q = len(x.right), len(y.right)
+    hi = s0 + p + q - math.gcd(p, q)
+    step = _PROBE
+    while start < hi:
+        end = min(start + step, hi)
+        xs, ys = x.window(start, end), y.window(start, end)
         if xs != ys:
-            for i, (a, b) in enumerate(zip(xs, ys)):
-                if a != b:
-                    return start + i
-        start += _PROBE
-    xs = x.window(start, hi)
-    ys = y.window(start, hi)
-    if xs == ys:
-        return None
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        if a != b:
-            return start + i
-    return None  # pragma: no cover
+            return end - _diff_bits(xs, ys).bit_length()
+        start = end
+        step *= 2
+    return None
 
 
 def first_mismatch_bwd(x, y, start=-1):
-    """Largest index <= start where x and y disagree, or None."""
+    """Largest index <= start where x and y disagree, or None.
+
+    The mirror image of first_mismatch_fwd: below both offsets the left
+    periods decide the whole ray within p + q - gcd(p, q) symbols.
+    """
     s0 = min(start, x.offset - 1, y.offset - 1)
-    lo = s0 - math.lcm(len(x.left), len(y.left)) + 1
-    if lo < start + 1 - _PROBE:
-        xs = x.window(start + 1 - _PROBE, start + 1)
-        ys = y.window(start + 1 - _PROBE, start + 1)
+    p, q = len(x.left), len(y.left)
+    lo = s0 - (p + q - math.gcd(p, q)) + 1
+    step = _PROBE
+    end = start + 1
+    while end > lo:
+        begin = max(end - step, lo)
+        xs, ys = x.window(begin, end), y.window(begin, end)
         if xs != ys:
-            for i in range(_PROBE - 1, -1, -1):
-                if xs[i] != ys[i]:
-                    return start + 1 - _PROBE + i
-        start -= _PROBE
-    xs = x.window(lo, start + 1)
-    ys = y.window(lo, start + 1)
-    if xs == ys:
-        return None
-    for i in range(len(xs) - 1, -1, -1):
-        if xs[i] != ys[i]:
-            return lo + i
-    return None  # pragma: no cover
+            bits = _diff_bits(xs, ys)
+            return end - (bits & -bits).bit_length()
+        end = begin
+        step *= 2
+    return None
 
 
 _ONE = Fraction(1)
@@ -243,7 +266,8 @@ def right_tails_agree(x, y):
     """True when x[i] == y[i] for all large enough i.
 
     For tail-periodic sequences this is equivalent to exact agreement from
-    the last core boundary on, which one period's worth of symbols decides.
+    the last core boundary on. With right periods p and q, the first
+    p + q - gcd(p, q) symbols past that boundary decide it (Fine and Wilf).
     """
     return first_mismatch_fwd(x, y, max(x.core_end, y.core_end)) is None
 
@@ -292,17 +316,13 @@ def assemble(left_src, lo, word, hi, right_src, right_anchor):
         raise ValueError("word length does not match its window")
     start = min(lo, left_src.offset)
     end = max(hi, right_src.core_end + right_anchor)
-    syms = []
-    for i in range(start, lo):
-        syms.append(left_src[i])
-    syms.append(word)
-    for i in range(hi, end):
-        syms.append(right_src[i - right_anchor])
+    core = (left_src.window(start, lo) + word
+            + right_src.window(hi - right_anchor, end - right_anchor))
     p = len(left_src.left)
     left = left_src.window(start - p, start)
     q = len(right_src.right)
     right = right_src.window(end - right_anchor, end - right_anchor + q)
-    return BiSeq(left, "".join(syms), right, start)
+    return BiSeq(left, core, right, start)
 
 
 def flip_symbol(x, pos):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import sys as _sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,27 +79,55 @@ def _fraction_arg(text, name):
     return value
 
 
+_OVERRIDE_TYPES = {"integer": int, "text": str, "choice": str}
+
+
+def _checked_overrides(overrides, flags):
+    """Config overrides, each checked against the type of its own flag."""
+    if not isinstance(overrides, dict):
+        raise click.UsageError("config must map flag names to values")
+    ctx = click.get_current_context()
+    options = {opt.name: opt for opt in ctx.command.params}
+    for name, value in overrides.items():
+        if name not in flags:
+            raise click.UsageError(f"config key {name!r} names no flag of "
+                                   f"{ctx.command.name}")
+        opt = options[name]
+        if value is None and opt.default is None and not opt.required:
+            continue
+        if type(value) is not _OVERRIDE_TYPES[opt.type.name]:
+            raise click.UsageError(f"config value {name}={value!r} is not "
+                                   f"of type {opt.type.name}")
+        opt.type.convert(value, opt, ctx)
+    return overrides
+
+
+@contextmanager
+def _invalid_input():
+    """Report the library's ValueError for bad input as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 class _Run:
     """Shared per-command state: system, config echo, output directory."""
 
     def __init__(self, n, variant, k_max, out, config, **params):
-        overrides = {}
+        system = {"n": n, "variant": variant, "k_max": k_max}
+        self.params = dict(params)
         if config is not None:
             try:
                 overrides = json.loads(Path(config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise click.UsageError(f"cannot read config: {exc}") from None
-        system_over = overrides.get("system", {})
-        try:
-            self.system = AugSystem(
-                n=system_over.get("n", n),
-                variant=system_over.get("variant", variant),
-                k_max=system_over.get("k_max", k_max))
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
-        self.params = dict(params)
-        self.params.update(
-            {k: v for k, v in overrides.items() if k != "system"})
+            if isinstance(overrides, dict):
+                system.update(
+                    _checked_overrides(overrides.pop("system", {}), system))
+            self.params.update(_checked_overrides(overrides, self.params))
+        with _invalid_input():
+            self.system = AugSystem(**system)
         self.out = Path(out)
 
     def param(self, name):
@@ -154,7 +183,8 @@ def construct(n, variant, k_max, out, config, k_hi):
     run = _Run(n, variant, k_max, out, config, k_hi=k_hi)
     sys = run.system
     k_hi = run.param("k_hi")
-    pts = sys.extra_points(k_hi)
+    with _invalid_input():
+        pts = sys.extra_points(k_hi)
     per_level = {k: sum(1 for p in pts if p.k == k) for k in range(1, k_hi + 1)}
     ok = len(pts) == sys.extra_count(k_hi) == len(set(pts))
     payload = {
@@ -179,13 +209,11 @@ def ball(n, variant, k_max, out, config, center, radius, k_hi, mode, horizon):
     """Compute one dynamic ball."""
     run = _Run(n, variant, k_max, out, config, center=center, radius=radius,
                k_hi=k_hi, mode=mode, horizon=horizon)
-    try:
+    with _invalid_input():
         report = dynamic_ball(run.system, _parse_point(run.param("center")),
                               run.fraction("radius"), k_hi=run.param("k_hi"),
                               mode=run.param("mode"),
                               horizon=run.param("horizon"))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     run.emit("ball", report, ok=True)
 
 
@@ -203,15 +231,18 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
     sys = run.system
     radius = run.fraction("c")
     k_hi = run.param("k_hi")
-    sample = construction_sample(sys, extras_k_hi=k_hi, orbits_k_hi=min(k_hi, 12),
-                                 random_count=run.param("random_count"),
-                                 seed=run.param("seed"))
-    cert = check_expansivity(sys, radius, sample, k_hi=k_hi)
+    with _invalid_input():
+        sample = construction_sample(sys, extras_k_hi=k_hi,
+                                     orbits_k_hi=min(k_hi, 12),
+                                     random_count=run.param("random_count"),
+                                     seed=run.param("seed"))
+        cert = check_expansivity(sys, radius, sample, k_hi=k_hi)
     payload = {"certificate": cert, "sample_size": len(sample)}
     ok = isinstance(cert, ExpansivityCertificate)
     if sys.variant == "standard" and sys.n >= 2:
-        falsifiers = [lower_expansivity_falsifier(sys, r)
-                      for r in (radius, radius / 2, radius / 4)]
+        with _invalid_input():
+            falsifiers = [lower_expansivity_falsifier(sys, r)
+                          for r in (radius, radius / 2, radius / 4)]
         payload["lower_bound_falsifiers"] = falsifiers
         ok = ok and all(len(f.members) == sys.n for f in falsifiers)
     run.emit("expansivity", payload, ok)
@@ -232,14 +263,16 @@ def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed)
     sys = run.system
     eps = run.fraction("eps")
     rng = random.Random(run.param("seed"))
-    mod = shadow_modulus(eps)
+    with _invalid_input():
+        mod = shadow_modulus(eps)
     worst = Fraction(0)
     checks = []
     ok = True
     for index in range(run.param("orbits")):
-        po = hop_pseudo_orbit(sys, rng, length=run.param("length"),
-                              delta_exp=run.param("delta_exp"))
-        traced = shadow_pseudo_orbit(po, eps)
+        with _invalid_input():
+            po = hop_pseudo_orbit(sys, rng, length=run.param("length"),
+                                  delta_exp=run.param("delta_exp"))
+            traced = shadow_pseudo_orbit(po, eps)
         chk = verify_shadow(po, traced, eps)
         ok = ok and chk.ok
         worst = max(worst, chk.worst_dist)
@@ -267,12 +300,10 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
         raise click.UsageError("k_hi must be >= 1")
     eps = (Fraction(1, 2 * k_hi) if run.param("eps") is None
            else run.fraction("eps"))
-    try:
+    with _invalid_input():
         sample = construction_sample(sys, extras_k_hi=k_hi, orbits_k_hi=k_hi,
                                      random_count=0)
         graph = build_chain_graph(sample, eps)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     part = chain_classes(graph)
     satellite_classes = sum(
         1 for cls in part.classes if all(isinstance(p, ExtraPoint) for p in cls))
@@ -303,11 +334,9 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
 def stable_count(n, variant, k_max, out, config, center, eps, k_hi):
     """Count stable classes inside one local stable set."""
     run = _Run(n, variant, k_max, out, config, center=center, eps=eps, k_hi=k_hi)
-    try:
+    with _invalid_input():
         report = stable_class_count(run.system, _parse_point(run.param("center")),
                                     run.fraction("eps"), k_hi=run.param("k_hi"))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     run.emit("stable-count", report, ok=True)
 
 
@@ -322,12 +351,10 @@ def stable_radius(n, variant, k_max, out, config, center, eps, window, k_hi):
     run = _Run(n, variant, k_max, out, config, center=center, eps=eps,
                window=window, k_hi=k_hi)
     point = _parse_point(run.param("center"))
-    try:
+    with _invalid_input():
         radius, failures = orbit_stable_inclusion_failures(
             run.system, point, run.fraction("eps"), k_hi=run.param("k_hi"),
             window=run.param("window"))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     payload = {"radius": radius, "window": run.param("window"),
                "failures": failures}
     run.emit("stable-radius", payload, ok=not failures)
@@ -346,12 +373,10 @@ def limit_shadow_cmd(n, variant, k_max, out, config, stages, word_a, word_b,
                word_b=word_b, thresholds=thresholds)
     ths = tuple(_fraction_arg(t, "thresholds")
                 for t in run.param("thresholds").split(","))
-    try:
+    with _invalid_input():
         lpo = switching_limit_orbit(run.param("word_a"), run.param("word_b"),
                                     stages=run.param("stages"))
         report = limit_shadow(run.system, lpo, thresholds=ths)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     run.emit("limit-shadow", report, ok=all(i is not None
                                             for _, i in report.decay))
 
@@ -369,13 +394,11 @@ def two_sided(n, variant, k_max, out, config, half, past_word, future_word,
                future_word=future_word, thresholds=thresholds)
     ths = tuple(_fraction_arg(t, "thresholds")
                 for t in run.param("thresholds").split(","))
-    try:
+    with _invalid_input():
         tslpo = drifting_two_sided_orbit(run.param("past_word"),
                                          run.param("future_word"),
                                          half=run.param("half"))
         report = two_sided_limit_shadow(run.system, tslpo, thresholds=ths)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     run.emit("two-sided", report, ok=True)
 
 

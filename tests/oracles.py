@@ -55,6 +55,28 @@ def brute_left_tails_agree(x, y):
     return all(x[i] == y[i] for i in range(s0 - span - 1, s0))
 
 
+def brute_first_mismatch_fwd(x, y, start=0):
+    """Smallest i >= start with x[i] != y[i], scanning symbol by symbol
+    through one full lcm of the right periods past both cores."""
+    s0 = max(start, x.core_end, y.core_end)
+    span = math.lcm(len(x.right), len(y.right))
+    for i in range(start, s0 + span):
+        if x[i] != y[i]:
+            return i
+    return None
+
+
+def brute_first_mismatch_bwd(x, y, start=-1):
+    """Largest i <= start with x[i] != y[i], scanning symbol by symbol
+    through one full lcm of the left periods below both offsets."""
+    s0 = min(start, x.offset - 1, y.offset - 1)
+    span = math.lcm(len(x.left), len(y.left))
+    for i in range(start, s0 - span, -1):
+        if x[i] != y[i]:
+            return i
+    return None
+
+
 def brute_least_period(seq):
     """Least period by scanning divisor candidates against many symbols."""
     for t in range(1, 4 * len(seq.left) + 1):

@@ -1,17 +1,25 @@
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nexpansive
 from nexpansive.base import (
     BiSeq,
     Cylinder,
+    assemble,
     base_dist,
     base_shadow,
     dyadic,
+    first_mismatch_bwd,
+    first_mismatch_fwd,
     flip_symbol,
     glue_specification,
     least_period,
@@ -24,6 +32,8 @@ from nexpansive.base import (
 )
 from oracles import (
     brute_base_dist,
+    brute_first_mismatch_bwd,
+    brute_first_mismatch_fwd,
     brute_least_period,
     brute_left_tails_agree,
     brute_right_tails_agree,
@@ -357,3 +367,147 @@ class TestMixing:
         assert k == 2 + 2 + 9
         y = mixing_point(u, v, k)
         assert u.contains(y) and v.contains(y.shift(k))
+
+
+periods = st.text(alphabet="01", min_size=1, max_size=12)
+
+
+@st.composite
+def tail_pairs(draw):
+    """Two points whose tails have periods up to 12 and often agree long.
+
+    The second point's periods are prefixes of the first point's periodic
+    patterns, so the two tails share a run of at least that length before
+    they can differ, which reaches towards the p + q - gcd(p, q) bound.
+    """
+    u, v = draw(periods), draw(periods)
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    x = BiSeq(u, draw(cores), v, draw(offsets))
+    y = BiSeq((u * 12)[-m:], draw(cores), (v * 12)[:n], draw(offsets))
+    return x, y
+
+
+class TestFineWilfMismatch:
+    @settings(max_examples=300, deadline=None)
+    @given(tail_pairs(), st.integers(-20, 20))
+    def test_matches_lcm_scan(self, pair, start):
+        x, y = pair
+        assert first_mismatch_fwd(x, y, start) == \
+            brute_first_mismatch_fwd(x, y, start)
+        assert first_mismatch_bwd(x, y, start) == \
+            brute_first_mismatch_bwd(x, y, start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 11), st.integers(1, 11), st.integers(0, 11),
+           st.integers(-30, 30))
+    def test_tagged_periodic_pairs(self, k, m, j, start):
+        # periods k + 1 and m + 1, coprime whenever they are consecutive
+        x, y = periodic_point(k), periodic_point(m).shift(j)
+        assert first_mismatch_fwd(x, y, start) == \
+            brute_first_mismatch_fwd(x, y, start)
+        assert first_mismatch_bwd(x, y, start) == \
+            brute_first_mismatch_bwd(x, y, start)
+
+    def test_mismatch_at_the_last_index_of_the_bound(self):
+        # 010010 has periods 5 and 3; the tails first differ at index 6,
+        # the last of the p + q - gcd(p, q) = 7 symbols the scan reads.
+        x, y = BiSeq("1", "", "01001", 0), BiSeq("1", "", "010", 0)
+        assert first_mismatch_fwd(x, y, 0) == 6
+        assert first_mismatch_bwd(x.reverse(), y.reverse(), 0) == -6
+        assert not right_tails_agree(x, y)
+
+    def test_long_coprime_periods(self):
+        # lcm is about 4.3e9 here; the scan reads at most p + q - 1 symbols.
+        x = periodic_point(65537)
+        y = periodic_point(65538).shift(32768)
+        assert first_mismatch_fwd(x, y, 0) == 32770
+        assert first_mismatch_bwd(x, y, -1) == -1
+        assert base_dist(x, y) == Fraction(1, 2)
+        assert not right_tails_agree(x, y) and not left_tails_agree(x, y)
+
+
+class TestShiftIsCanonical:
+    @settings(max_examples=200, deadline=None)
+    @given(words, cores, words, offsets, st.integers(-30, 30))
+    def test_fields_match_construction(self, left, core, right, offset, t):
+        x = BiSeq(left, core, right, offset)
+        y, ref = x.shift(t), BiSeq(x.left, x.core, x.right, x.offset - t)
+        assert (y.left, y.core, y.right, y.offset) == \
+            (ref.left, ref.core, ref.right, ref.offset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(periods, st.integers(-40, 40))
+    def test_globally_periodic(self, word, t):
+        x = BiSeq(word)
+        y, ref = x.shift(t), BiSeq(x.left, x.core, x.right, x.offset - t)
+        assert y.is_periodic and y.offset == 0
+        assert (y.left, y.core, y.right, y.offset) == \
+            (ref.left, ref.core, ref.right, ref.offset)
+
+
+def assemble_by_loop(left_src, lo, word, hi, right_src, right_anchor):
+    """assemble as first written, copying the core symbol by symbol."""
+    if len(word) != hi - lo:
+        raise ValueError("word length does not match its window")
+    start = min(lo, left_src.offset)
+    end = max(hi, right_src.core_end + right_anchor)
+    syms = []
+    for i in range(start, lo):
+        syms.append(left_src[i])
+    syms.append(word)
+    for i in range(hi, end):
+        syms.append(right_src[i - right_anchor])
+    p = len(left_src.left)
+    left = left_src.window(start - p, start)
+    q = len(right_src.right)
+    right = right_src.window(end - right_anchor, end - right_anchor + q)
+    return BiSeq(left, "".join(syms), right, start)
+
+
+class TestAssemble:
+    @settings(max_examples=300, deadline=None)
+    @given(words, cores, words, offsets, words, cores, words, offsets,
+           st.integers(-10, 10), cores, st.integers(-10, 10))
+    def test_matches_symbol_loop(self, l1, c1, r1, o1, l2, c2, r2, o2,
+                                 lo, word, anchor):
+        a, b = BiSeq(l1, c1, r1, o1), BiSeq(l2, c2, r2, o2)
+        hi = lo + len(word)
+        assert assemble(a, lo, word, hi, b, anchor) == \
+            assemble_by_loop(a, lo, word, hi, b, anchor)
+
+
+_CAPPED_CHILD = """
+import sys, time
+from click.testing import CliRunner
+from nexpansive.base import base_dist, periodic_point
+from nexpansive.cli import main
+
+result = CliRunner().invoke(main, ["shadow", "--delta-exp", "16",
+                                   "--orbits", "1", "--length", "5",
+                                   "--out", sys.argv[1]])
+print("exit", result.exit_code, repr(result.exception))
+x, y = periodic_point(65537), periodic_point(65538).shift(32768)
+t0 = time.perf_counter()
+d = base_dist(x, y)
+print("base_dist", d, time.perf_counter() - t0)
+"""
+
+
+def test_deep_levels_fit_under_a_memory_cap(tmp_path):
+    """delta_exp 16 draws levels above 65536, whose tails have lcm ~4e9."""
+    cap = 2 * 1024 ** 3
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(nexpansive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env=env, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "exit 0 None", proc.stdout
+    _, dist, seconds = lines[1].split()
+    assert dist == "1/2"
+    assert float(seconds) < 1.0

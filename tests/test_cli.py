@@ -156,3 +156,46 @@ def test_config_overrides_flags(runner, tmp_path):
     assert report["config"]["system"]["n"] == 5
     assert report["config"]["k_hi"] == 4
     assert report["result"]["satellites"] == 4 * (2 + 3 + 4 + 5)
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--k-hi", "80"],
+    ["expansivity", "--c", "0/1"],
+    ["shadow", "--eps", "1/1000"],
+])
+def test_library_value_errors_exit_two(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert not isinstance(result.exception, ValueError)
+
+
+@pytest.mark.parametrize("command", ["classes", "construct"])
+@pytest.mark.parametrize("overrides", [
+    {"k_hi": "x"},
+    {"k_hi": 4.5},
+    {"k_hi": True},
+    {"system": {"n": "3"}},
+    {"system": {"variant": "nope"}},
+    {"system": []},
+    {"no_such_flag": 1},
+])
+def test_config_override_types_are_checked(runner, tmp_path, command,
+                                           overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(main, [command, "--config", str(cfg),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_config_may_reset_an_optional_flag(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_hi": 6, "eps": None}))
+    run_ok(runner, tmp_path,
+           ["classes", "--eps", "1/3", "--config", str(cfg)])
+    report = load(tmp_path, "classes")
+    assert report["config"]["eps"] is None
+    assert report["result"]["epsilon"] == "1/12"
