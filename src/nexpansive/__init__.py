@@ -30,7 +30,6 @@ from nexpansive.space import (
     aug_dist,
     aug_iterate,
     aug_map,
-    aug_map_inv,
     canonical_key,
     mirror_point,
     orbit_label,
@@ -62,10 +61,8 @@ from nexpansive.chains import (
     isolation_certificate,
 )
 from nexpansive.shadowing import (
-    LimitPseudoOrbit,
     PseudoOrbit,
     Specification,
-    TwoSidedLimitPseudoOrbit,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,

@@ -277,9 +277,6 @@ def left_tails_agree(x, y):
     return first_mismatch_bwd(x, y, min(x.offset, y.offset) - 1) is None
 
 
-_PERIODIC_CACHE = {}
-
-
 def periodic_point(k):
     """The tagged periodic point of level k: the k zeroes, one 1 pattern.
 
@@ -288,10 +285,8 @@ def periodic_point(k):
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    if k not in _PERIODIC_CACHE:
-        word = "0" * k + "1"
-        _PERIODIC_CACHE[k] = BiSeq(word, "", word, 0)
-    return _PERIODIC_CACHE[k]
+    word = "0" * k + "1"
+    return BiSeq(word, "", word, 0)
 
 
 def periodic_orbit(k):

@@ -79,7 +79,8 @@ def _fraction_arg(text, name):
     return value
 
 
-_OVERRIDE_TYPES = {"integer": int, "text": str, "choice": str}
+_OVERRIDE_TYPES = {"integer": int, "integer range": int, "text": str,
+                   "choice": str}
 
 
 def _checked_overrides(overrides, flags):
@@ -177,7 +178,8 @@ def main():
 
 @main.command()
 @_system_options
-@click.option("--k-hi", default=12, show_default=True)
+@click.option("--k-hi", default=12, show_default=True,
+              type=click.IntRange(min=1))
 def construct(n, variant, k_max, out, config, k_hi):
     """Enumerate the system and report structural counts."""
     run = _Run(n, variant, k_max, out, config, k_hi=k_hi)
@@ -221,7 +223,8 @@ def ball(n, variant, k_max, out, config, center, radius, k_hi, mode, horizon):
 @_system_options
 @click.option("--c", default="1/4", show_default=True,
               help="expansivity radius to certify at")
-@click.option("--k-hi", default=20, show_default=True)
+@click.option("--k-hi", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=7, show_default=True)
 @click.option("--random-count", default=100, show_default=True)
 def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
@@ -286,7 +289,8 @@ def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed)
 @main.command()
 @_system_options
 @click.option("--eps", default=None, help="resolution, default 1/(2*k_hi)")
-@click.option("--k-hi", default=12, show_default=True)
+@click.option("--k-hi", default=12, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--edges-csv", default=None, help="also write the edge list here")
 @click.option("--expect-min-classes", default=None, type=int)
 def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
@@ -296,8 +300,6 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
                edges_csv=edges_csv, expect_min_classes=expect_min_classes)
     sys = run.system
     k_hi = run.param("k_hi")
-    if k_hi < 1:
-        raise click.UsageError("k_hi must be >= 1")
     eps = (Fraction(1, 2 * k_hi) if run.param("eps") is None
            else run.fraction("eps"))
     with _invalid_input():
@@ -330,13 +332,12 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
 @_system_options
 @click.option("--center", required=True)
 @click.option("--eps", required=True)
-@click.option("--k-hi", default=None, type=int)
-def stable_count(n, variant, k_max, out, config, center, eps, k_hi):
+def stable_count(n, variant, k_max, out, config, center, eps):
     """Count stable classes inside one local stable set."""
-    run = _Run(n, variant, k_max, out, config, center=center, eps=eps, k_hi=k_hi)
+    run = _Run(n, variant, k_max, out, config, center=center, eps=eps)
     with _invalid_input():
         report = stable_class_count(run.system, _parse_point(run.param("center")),
-                                    run.fraction("eps"), k_hi=run.param("k_hi"))
+                                    run.fraction("eps"))
     run.emit("stable-count", report, ok=True)
 
 
@@ -344,16 +345,16 @@ def stable_count(n, variant, k_max, out, config, center, eps, k_hi):
 @_system_options
 @click.option("--center", required=True)
 @click.option("--eps", default="1/4", show_default=True)
-@click.option("--window", default=8, show_default=True)
-@click.option("--k-hi", default=None, type=int)
-def stable_radius(n, variant, k_max, out, config, center, eps, window, k_hi):
+@click.option("--window", default=8, show_default=True,
+              type=click.IntRange(min=0))
+def stable_radius(n, variant, k_max, out, config, center, eps, window):
     """Uniform local-stable radius along the orbit, verified over a window."""
     run = _Run(n, variant, k_max, out, config, center=center, eps=eps,
-               window=window, k_hi=k_hi)
+               window=window)
     point = _parse_point(run.param("center"))
     with _invalid_input():
         radius, failures = orbit_stable_inclusion_failures(
-            run.system, point, run.fraction("eps"), k_hi=run.param("k_hi"),
+            run.system, point, run.fraction("eps"),
             window=run.param("window"))
     payload = {"radius": radius, "window": run.param("window"),
                "failures": failures}
@@ -404,7 +405,8 @@ def two_sided(n, variant, k_max, out, config, half, past_word, future_word,
 
 @main.command("metric-axioms")
 @_system_options
-@click.option("--trials", default=100000, show_default=True)
+@click.option("--trials", default=100000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=7, show_default=True)
 @click.option("--k-hi", default=None, type=int)
 def metric_axioms(n, variant, k_max, out, config, trials, seed, k_hi):

@@ -13,11 +13,7 @@ from fractions import Fraction
 
 from nexpansive.base import BiSeq
 from nexpansive.space import AugSystem, BasePoint, ExtraPoint
-from nexpansive.shadowing import (
-    LimitPseudoOrbit,
-    PseudoOrbit,
-    TwoSidedLimitPseudoOrbit,
-)
+from nexpansive.shadowing import PseudoOrbit
 
 
 def format_fraction(value):
@@ -66,37 +62,17 @@ def system_from_json(data):
 
 
 def pseudo_orbit_to_json(po):
-    return {"delta": format_fraction(po.delta),
-            "points": [point_to_json(p) for p in po.points]}
+    return {"points": [point_to_json(p) for p in po.points],
+            "start": po.start,
+            "schedule": [{"k": k, "bound": format_fraction(b)}
+                         for k, b in po.schedule]}
 
 
 def pseudo_orbit_from_json(data):
-    return PseudoOrbit(tuple(point_from_json(p) for p in data["points"]),
-                       parse_fraction(data["delta"]))
-
-
-def limit_orbit_to_json(lpo):
-    return {"points": [point_to_json(p) for p in lpo.points],
-            "schedule": [{"k": k, "bound": format_fraction(b)}
-                         for k, b in lpo.schedule]}
-
-
-def limit_orbit_from_json(data):
-    return LimitPseudoOrbit(
-        tuple(point_from_json(p) for p in data["points"]),
-        tuple((e["k"], parse_fraction(e["bound"])) for e in data["schedule"]))
-
-
-def two_sided_orbit_to_json(tslpo):
-    out = limit_orbit_to_json(tslpo)
-    out["start"] = tslpo.start
-    return out
-
-
-def two_sided_orbit_from_json(data):
-    return TwoSidedLimitPseudoOrbit(
-        tuple(point_from_json(p) for p in data["points"]), data["start"],
-        tuple((e["k"], parse_fraction(e["bound"])) for e in data["schedule"]))
+    return PseudoOrbit(
+        [point_from_json(p) for p in data["points"]],
+        [(e["k"], parse_fraction(e["bound"])) for e in data["schedule"]],
+        data["start"])
 
 
 def encode(value):

@@ -28,7 +28,6 @@ from nexpansive.base import (
     BiSeq,
     first_mismatch_bwd,
     first_mismatch_fwd,
-    flip_symbol,
     left_tails_agree,
     right_tails_agree,
 )
@@ -97,13 +96,6 @@ def limsup_forward_dist(x, y):
         return ZERO
     px, py = project(x), project(y)
     return tag_gap(x, y) + (ZERO if right_tails_agree(px, py) else ONE)
-
-
-def limsup_backward_dist(x, y):
-    if x == y:
-        return ZERO
-    px, py = project(x), project(y)
-    return tag_gap(x, y) + (ZERO if left_tails_agree(px, py) else ONE)
 
 
 def in_local_stable(y, x, eps):
@@ -206,6 +198,8 @@ def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32,
                     f"satellite levels up to k_hi={k_hi} enumerated for cross-checks")
         hor = None
     elif mode == "horizon":
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
         pool = {center}
         pool.update(sys.extra_points(k_hi))
         pool.update(candidates)
@@ -303,7 +297,7 @@ class StableClassReport:
     universe: str
 
 
-def _stable_candidates(sys, center, eps, sample, probe_depth):
+def _stable_candidates(sys, center, sample):
     """Candidate pool whose scan provably captures every stable class.
 
     Below 1/2 a member of the local stable set either shares the center's
@@ -312,8 +306,7 @@ def _stable_candidates(sys, center, eps, sample, probe_depth):
     then forced: it is the periodic continuation of the center's right
     tail, so the only satellite classes live over that single orbit
     position. The pool lists those forced points, the center's satellite
-    cluster when the center is itself a satellite, and probe points around
-    the boundary so the scan exercises both outcomes.
+    cluster when the center is itself a satellite, and the caller's sample.
     """
     pool = {center}
     s = project(center)
@@ -329,14 +322,11 @@ def _stable_candidates(sys, center, eps, sample, probe_depth):
             for i in range(1, sys.multiplicity(k) + 1):
                 pool.add(ExtraPoint(i, k, j))
             pool.add(BasePoint(ext))
-    for d in (2, probe_depth):
-        pool.add(BasePoint(flip_symbol(s, -(d + 1))))
-        pool.add(BasePoint(flip_symbol(s, d + 1)))
     pool.update(sample)
     return sorted(pool, key=canonical_key)
 
 
-def stable_class_count(sys, center, eps, k_hi=None, sample=(), probe_depth=8):
+def stable_class_count(sys, center, eps, sample=()):
     """Count the distinct stable sets meeting the local stable set of center.
 
     Members of the local stable set at size eps are grouped by mutual
@@ -350,13 +340,12 @@ def stable_class_count(sys, center, eps, k_hi=None, sample=(), probe_depth=8):
     if eps >= HALF:
         raise ValueError("exact class counting requires eps < 1/2")
     sys.validate_point(center)
-    k_hi = sys.k_max if k_hi is None else k_hi
-    pool = _stable_candidates(sys, center, eps, sample, probe_depth)
+    pool = _stable_candidates(sys, center, sample)
     members = [y for y in pool if in_local_stable(y, center, eps)]
-    own = [y for y in members if in_stable_set(y, center)]
-    classes = [own]
+    classes = [[]]
     for y in members:
         if in_stable_set(y, center):
+            classes[0].append(y)
             continue
         for cls in classes[1:]:
             if in_stable_set(y, cls[0]):
@@ -364,16 +353,14 @@ def stable_class_count(sys, center, eps, k_hi=None, sample=(), probe_depth=8):
                 break
         else:
             classes.append([y])
-    rest = sorted(classes[1:], key=lambda cls: canonical_key(min(cls, key=canonical_key)))
-    ordered = [classes[0]] + rest
-    reps = [center] + [min(cls, key=canonical_key) for cls in rest]
+    # the pool is in canonical order, so each class lists its members in
+    # order and the other classes come sorted by their least member
     return StableClassReport(
-        center=center, epsilon=eps, count=len(ordered),
-        representatives=tuple(reps),
-        classes=tuple(tuple(sorted(cls, key=canonical_key)) for cls in ordered),
-        members=tuple(sorted(members, key=canonical_key)),
-        universe=f"forced satellite orbit plus probes (depth {probe_depth}) "
-                 f"plus {len(sample)} caller points")
+        center=center, epsilon=eps, count=len(classes),
+        representatives=(center, *(cls[0] for cls in classes[1:])),
+        classes=tuple(tuple(cls) for cls in classes),
+        members=tuple(members),
+        universe=f"forced satellite orbit plus {len(sample)} caller points")
 
 
 def _stable_entry_time(center, eps, multiplicity):
@@ -408,7 +395,7 @@ def _stable_entry_time(center, eps, multiplicity):
     return max(0, last + depth)
 
 
-def local_stable_radius(sys, center, eps, k_hi=None):
+def local_stable_radius(sys, center, eps):
     """A radius below which local stable sets collapse into true stable sets
     along the whole orbit of the center.
 
@@ -422,7 +409,7 @@ def local_stable_radius(sys, center, eps, k_hi=None):
         raise ValueError("eps must lie in (0, 1/2)")
     entry = _stable_entry_time(center, eps, sys.multiplicity)
     anchor = aug_iterate(center, entry)
-    report = stable_class_count(sys, anchor, eps, k_hi=k_hi)
+    report = stable_class_count(sys, anchor, eps)
     if report.count == 1:
         return eps
     seps = [limsup_forward_dist(z, anchor)
@@ -434,7 +421,7 @@ class StabilizationNotReached(RuntimeError):
     """The class count was still changing at the end of the scan window."""
 
 
-def stabilization_index(sys, center, eps, m_hi, k_hi=None):
+def stabilization_index(sys, center, eps, m_hi):
     """Least iterate from which the stable-class count stays constant.
 
     Scans n(f^t x, eps) for t in [0, m_hi] and returns (l, value) where the
@@ -444,7 +431,7 @@ def stabilization_index(sys, center, eps, m_hi, k_hi=None):
     """
     if m_hi < 1:
         raise ValueError("m_hi must be >= 1")
-    counts = [stable_class_count(sys, aug_iterate(center, t), eps, k_hi=k_hi).count
+    counts = [stable_class_count(sys, aug_iterate(center, t), eps).count
               for t in range(m_hi + 1)]
     l = m_hi
     while l > 0 and counts[l - 1] == counts[m_hi]:
@@ -455,17 +442,17 @@ def stabilization_index(sys, center, eps, m_hi, k_hi=None):
     return l, counts[m_hi]
 
 
-def orbit_stable_inclusion_failures(sys, center, eps, k_hi=None, window=8):
+def orbit_stable_inclusion_failures(sys, center, eps, window=8):
     """Iterates m in [-window, window] where the local stable set at the
     radius from local_stable_radius escapes the true stable set.
 
     Returns (radius, failures); an empty failure list verifies the
     uniform inclusion along the orbit window.
     """
-    radius = local_stable_radius(sys, center, eps, k_hi=k_hi)
+    radius = local_stable_radius(sys, center, eps)
     failures = []
     for m in range(-window, window + 1):
-        rep = stable_class_count(sys, aug_iterate(center, m), radius, k_hi=k_hi)
+        rep = stable_class_count(sys, aug_iterate(center, m), radius)
         if rep.count != 1:
             failures.append(m)
     return radius, failures

@@ -29,11 +29,7 @@ from nexpansive.space import (
     orbit_label,
     project,
 )
-from nexpansive.shadowing import (
-    LimitPseudoOrbit,
-    PseudoOrbit,
-    TwoSidedLimitPseudoOrbit,
-)
+from nexpansive.shadowing import PseudoOrbit
 
 
 def random_word(rng, lo, hi):
@@ -220,7 +216,7 @@ def switching_limit_orbit(word_a="001", word_b="01", stages=10,
             point = flip_symbol(point, s + 3)
         pts.append(BasePoint(point))
     schedule = tuple((2 ** s, dyadic(s)) for s in range(1, stages))
-    return LimitPseudoOrbit(tuple(pts), schedule)
+    return PseudoOrbit(pts, schedule)
 
 
 def drifting_two_sided_orbit(past_word="001", future_word="0001", half=512,
@@ -249,4 +245,4 @@ def drifting_two_sided_orbit(past_word="001", future_word="0001", half=512,
         schedule.append((k, bound))
         k += 8
         bound /= 4
-    return TwoSidedLimitPseudoOrbit(tuple(pts), -half, tuple(schedule))
+    return PseudoOrbit(pts, schedule, -half)

@@ -10,6 +10,7 @@ caller data, never invented here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,114 +87,69 @@ def shadow_modulus(eps):
     return ShadowModulus(eps=eps, base_exp=n, base_eps=dyadic(n), m=m)
 
 
-def _jumps(points):
-    return tuple(aug_dist(aug_map(points[t]), points[t + 1])
-                 for t in range(len(points) - 1))
-
-
-def _check_schedule(schedule):
-    ks = [k for k, _ in schedule]
-    bs = [b for _, b in schedule]
-    if ks[0] < 0 or any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ValueError("schedule indices must be nonnegative and increasing")
-    if any(b <= 0 for b in bs) or any(a <= b for a, b in zip(bs, bs[1:])):
-        raise ValueError("schedule bounds must be positive and decreasing")
+def _normalize_schedule(schedule):
+    if not isinstance(schedule, (tuple, list)):
+        schedule = ((0, schedule),)
+    return tuple((int(k), Fraction(b)) for k, b in schedule)
 
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite run of points with one-step jumps strictly below delta."""
+    """Points at the times start..end with a jump schedule.
+
+    The jump at time t is d(f(x_t), x_{t+1}). Each schedule entry
+    (k, bound), indices strictly increasing and bounds strictly decreasing,
+    promises every jump at a time t >= k or t <= -k - 1 strictly below
+    bound; a bare bound delta stands for ((0, delta),), one bound on every
+    jump. The window must contain time zero. The promise is checked on
+    construction for every jump in the window, each against the tightest
+    entry covering its time.
+    """
 
     points: tuple
-    delta: Fraction
+    schedule: tuple
+    start: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "schedule", _normalize_schedule(self.schedule))
         if not self.points:
             raise ValueError("pseudo-orbit must contain at least one point")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        for t, gap in enumerate(_jumps(self.points)):
-            if gap >= self.delta:
-                raise ValueError(
-                    f"jump {gap} at index {t} is not below delta={self.delta}")
-
-    @classmethod
-    def trusted(cls, points, delta):
-        """Skip jump validation; for internal use on already-proven data."""
-        po = object.__new__(cls)
-        object.__setattr__(po, "points", tuple(points))
-        object.__setattr__(po, "delta", delta)
-        return po
-
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class LimitPseudoOrbit:
-    """A forward pseudo-orbit prefix with a vanishing-jump schedule.
-
-    ``schedule`` lists (index, bound) pairs, indices strictly increasing
-    and bounds strictly decreasing, and promises that every jump at or
-    after each index stays strictly below the paired bound. The promise is
-    checked on construction for the part visible in the prefix.
-    """
-
-    points: tuple
-    schedule: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "schedule",
-                           tuple((int(k), Fraction(b)) for k, b in self.schedule))
-        if len(self.points) < 2:
-            raise ValueError("prefix needs at least two points")
-        if not self.schedule:
-            raise ValueError("schedule must not be empty")
-        _check_schedule(self.schedule)
-        jumps = _jumps(self.points)
-        object.__setattr__(self, "jumps", jumps)
-        for k, bound in self.schedule:
-            bad = [t for t in range(k, len(jumps)) if jumps[t] >= bound]
-            if bad:
-                raise ValueError(
-                    f"jump at index {bad[0]} violates bound {bound} from index {k}")
-
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class TwoSidedLimitPseudoOrbit:
-    """A pseudo-orbit over a window of times with jumps vanishing both ways.
-
-    Points cover the times start..start+len-1 with start <= 0 <= end. Each
-    schedule entry (k, bound) promises jumps below the bound at all times
-    t >= k and at all times t <= -k - 1.
-    """
-
-    points: tuple
-    start: int
-    schedule: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "schedule",
-                           tuple((int(k), Fraction(b)) for k, b in self.schedule))
         if not self.start <= 0 <= self.end:
             raise ValueError("window must contain time zero")
         if not self.schedule:
             raise ValueError("schedule must not be empty")
-        _check_schedule(self.schedule)
-        jumps = _jumps(self.points)
-        object.__setattr__(self, "jumps", jumps)
-        for k, bound in self.schedule:
-            for t, gap in enumerate(jumps):
-                time = self.start + t
-                if (time >= k or time <= -k - 1) and gap >= bound:
-                    raise ValueError(
-                        f"jump at time {time} violates bound {bound} beyond |t|>={k}")
+        ks = [k for k, _ in self.schedule]
+        bs = [b for _, b in self.schedule]
+        if ks[0] < 0 or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ValueError(
+                "schedule indices must be nonnegative and increasing")
+        if bs[-1] <= 0 or any(a <= b for a, b in zip(bs, bs[1:])):
+            raise ValueError("schedule bounds must be positive and decreasing")
+        # the first entry covers the most: times before -k0 and from k0 on
+        for t in (*range(self.start, -ks[0]), *range(ks[0], self.end)):
+            reach = t if t >= 0 else -t - 1
+            k, bound = self.schedule[bisect_right(ks, reach) - 1]
+            gap = aug_dist(aug_map(self.at(t)), self.at(t + 1))
+            if gap >= bound:
+                raise ValueError(
+                    f"jump {gap} at time {t} (index {t - self.start}) "
+                    f"violates bound {bound} from |t| >= {k}")
+
+    @classmethod
+    def trusted(cls, points, schedule):
+        """Skip jump validation; for internal use on already-proven data."""
+        po = object.__new__(cls)
+        object.__setattr__(po, "points", tuple(points))
+        object.__setattr__(po, "schedule", _normalize_schedule(schedule))
+        object.__setattr__(po, "start", 0)
+        return po
+
+    @property
+    def delta(self):
+        """The bound on every jump: the bound of an index-0 entry, or None."""
+        k, bound = self.schedule[0]
+        return bound if k == 0 else None
 
     @property
     def end(self):
@@ -201,6 +157,9 @@ class TwoSidedLimitPseudoOrbit:
 
     def at(self, time):
         return self.points[time - self.start]
+
+    def __len__(self):
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -245,12 +204,15 @@ class ShadowCheck:
 def verify_shadow(po, y, eps, t0=0):
     """Exact per-index check that y tracks the pseudo-orbit within eps.
 
-    Index t of the pseudo-orbit is compared against the (t0 + t)-th image
-    of y; the report carries the worst index and its exact distance. The
-    comparison is non-strict so that eps equal to the diameter accepts
-    every point.
+    The point at time s of the pseudo-orbit (a plain sequence starts at
+    time 0) is compared against the (t0 + s)-th image of y; the report
+    carries the worst index and its exact distance. The comparison is
+    non-strict so that eps equal to the diameter accepts every point.
     """
-    points = po.points if isinstance(po, PseudoOrbit) else tuple(po)
+    if isinstance(po, PseudoOrbit):
+        points, t0 = po.points, t0 + po.start
+    else:
+        points = tuple(po)
     worst_i, worst_d = 0, Fraction(0)
     for t, x in enumerate(points):
         d = aug_dist(aug_iterate(y, t0 + t), x)
@@ -261,18 +223,22 @@ def verify_shadow(po, y, eps, t0=0):
 
 
 def shadow_pseudo_orbit(po, eps):
-    """Trace a pseudo-orbit of the augmented system within eps.
+    """A point whose orbit traces the pseudo-orbit within eps.
 
-    Requires po.delta <= 1/m for the modulus of eps. A satellite of level
-    below m is isolated beyond the jump bound, so a pseudo-orbit touching
-    one can only be a run of that orbit and is traced by its own starting
-    point. Otherwise every satellite in the pseudo-orbit sits at level m
-    or deeper; projecting to the base costs at most 1/m per point, the
-    projected run is traced by a base point within eps/2, and the combined
-    error stays below eps. The result is verified at every index before
-    being returned.
+    The point sits at time zero: its t-th image tracks po.at(t). Requires
+    a uniform jump bound po.delta <= 1/m for the modulus of eps. A
+    satellite of level below m is isolated beyond the jump bound, so a
+    pseudo-orbit touching one can only be a run of that orbit and is
+    traced by its own starting point. Otherwise every satellite in the
+    pseudo-orbit sits at level m or deeper; projecting to the base costs
+    at most 1/m per point, the projected run is traced by a base point
+    within eps/2, and the combined error stays below eps. The result is
+    verified at every index before being returned.
     """
     mod = shadow_modulus(eps)
+    if po.delta is None:
+        raise ValueError("tracing needs a uniform jump bound: a schedule "
+                         "entry at index 0")
     if po.delta > mod.delta:
         raise ValueError(
             f"pseudo-orbit delta {po.delta} is too coarse; tracing at eps={eps} "
@@ -291,6 +257,7 @@ def shadow_pseudo_orbit(po, eps):
     else:
         traced = base_shadow([project(p) for p in pts], mod.base_exp)
         result = BasePoint(traced)
+    result = aug_iterate(result, -po.start)
     check = verify_shadow(po, result, eps)
     if not check.ok:  # pragma: no cover - the modulus arithmetic forbids this
         raise RuntimeError(f"traced point failed its own verification: {check}")
@@ -371,7 +338,7 @@ def _decay_index(dists, threshold, min_run=2):
     return cut if cut <= len(dists) - min_run else None
 
 
-def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4), k_hi=None,
+def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4),
                  stabilization_window=16, max_stages=8):
     """Trace a limit pseudo-orbit by a point with vanishing forward error.
 
@@ -384,8 +351,11 @@ def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4), k_hi=None,
     iterate) provide finitely many candidates, and the candidate whose
     forward distance to the prefix passes every requested threshold is
     returned together with the index where each threshold is reached.
-    Thresholds default to the schedule bounds visible in the prefix.
+    Thresholds default to the schedule bounds visible in the prefix. The
+    pseudo-orbit must be a forward prefix starting at time zero.
     """
+    if lpo.start != 0:
+        raise ScheduleError("limit tracing needs a prefix starting at time 0")
     pts = lpo.points
     horizon = len(pts)
     stages = []
@@ -413,12 +383,11 @@ def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4), k_hi=None,
                        aug_iterate(first, st["start"]), ambient))
         for st in stages)
     try:
-        stab, _ = stabilization_index(sys, first, ambient, stabilization_window,
-                                      k_hi=k_hi)
+        stab, _ = stabilization_index(sys, first, ambient, stabilization_window)
     except StabilizationNotReached:
         stab = 0
     anchor = aug_iterate(first, stab)
-    reps = stable_class_count(sys, anchor, ambient, k_hi=k_hi).representatives
+    reps = stable_class_count(sys, anchor, ambient).representatives
     candidates = [aug_iterate(r, -stab) for r in reps]
     if thresholds is None:
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
@@ -464,7 +433,7 @@ def _mirror_limit_orbit(tslpo):
     """
     pts = [mirror_point(tslpo.at(-t)) for t in range(-tslpo.start + 1)]
     schedule = [(k, 2 * b) for k, b in tslpo.schedule]
-    return LimitPseudoOrbit(tuple(pts), tuple(schedule))
+    return PseudoOrbit(pts, schedule)
 
 
 def _tail_floor(idx, side, bound):
@@ -476,7 +445,7 @@ def _tail_floor(idx, side, bound):
 
 def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                                                    HALF ** 4),
-                           ambient=Fraction(1, 4), k_hi=None):
+                           ambient=Fraction(1, 4)):
     """Trace a two-sided limit pseudo-orbit with both tails vanishing.
 
     The past half (run backwards through the mirror conjugacy) and the
@@ -495,12 +464,12 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     cannot be glued below their isolation distance and raise.
     """
     past_report = limit_shadow(sys, _mirror_limit_orbit(tslpo),
-                               thresholds=thresholds, ambient=ambient,
-                               k_hi=k_hi)
-    future_half = LimitPseudoOrbit(
-        tuple(tslpo.at(t) for t in range(tslpo.end + 1)), tslpo.schedule)
+                               thresholds=thresholds, ambient=ambient)
+    # the jumps of the future half were checked against this schedule
+    future_half = PseudoOrbit.trusted(tslpo.points[-tslpo.start:],
+                                      tslpo.schedule)
     future_report = limit_shadow(sys, future_half, thresholds=thresholds,
-                                 ambient=ambient, k_hi=k_hi)
+                                 ambient=ambient)
     p1 = mirror_point(past_report.point)
     p2 = future_report.point
     eps = delta = glue_eps = None
@@ -512,8 +481,8 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                 "below their isolation distance")
         final = p1
     else:
-        eps1 = local_stable_radius(sys, past_report.point, ambient, k_hi=k_hi)
-        eps2 = local_stable_radius(sys, p2, ambient, k_hi=k_hi)
+        eps1 = local_stable_radius(sys, past_report.point, ambient)
+        eps2 = local_stable_radius(sys, p2, ambient)
         eps = min(eps1, eps2)
         mod = shadow_modulus(eps)
         delta = mod.delta
@@ -542,9 +511,8 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                 glued.append(aug_iterate(z, t))
             else:
                 glued.append(aug_iterate(p2, t))
-        po = PseudoOrbit(tuple(glued), delta)
-        traced = shadow_pseudo_orbit(po, eps)
-        final = aug_iterate(traced, -tslpo.start)
+        final = shadow_pseudo_orbit(
+            PseudoOrbit(glued, delta, tslpo.start), eps)
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")

@@ -95,6 +95,7 @@ class AugSystem:
         return sum(self.multiplicity(k) * (k + 1) for k in range(1, k_hi + 1))
 
 
+# Memoized: without it metric-triples wall_s rose from 1.17 to 1.57 s.
 _PROJECTIONS = {}
 
 
@@ -131,12 +132,6 @@ def aug_map(x):
     if isinstance(x, BasePoint):
         return BasePoint(x.seq.shift(1))
     return ExtraPoint(x.i, x.k, (x.j + 1) % (x.k + 1))
-
-
-def aug_map_inv(x):
-    if isinstance(x, BasePoint):
-        return BasePoint(x.seq.shift(-1))
-    return ExtraPoint(x.i, x.k, (x.j - 1) % (x.k + 1))
 
 
 def aug_iterate(x, t):

@@ -178,3 +178,31 @@ def brute_shadow_search(po, bound_exp, window=4):
         if best is None or quality < best:
             best = quality
     return best
+
+
+def brute_schedule_ok(points, start, schedule):
+    """Does a pseudo-orbit over the times start.. keep its jump schedule?
+
+    Straight from the definition: at least one point, a window containing
+    time zero, a nonempty schedule with indices nonnegative and strictly
+    increasing and bounds positive and strictly decreasing, and for every
+    entry (k, bound) and every time t with t >= k or t <= -k - 1 a jump
+    d(f(x_t), x_{t+1}) strictly below bound.
+    """
+    end = start + len(points) - 1
+    if not points or not start <= 0 <= end or not schedule:
+        return False
+    ks = [k for k, _ in schedule]
+    bounds = [b for _, b in schedule]
+    if ks[0] < 0 or any(a >= b for a, b in zip(ks, ks[1:])):
+        return False
+    if any(b <= 0 for b in bounds) or any(
+            a <= b for a, b in zip(bounds, bounds[1:])):
+        return False
+    for i in range(len(points) - 1):
+        t = start + i
+        jump = aug_dist(aug_map(points[i]), points[i + 1])
+        for k, bound in schedule:
+            if (t >= k or t <= -k - 1) and jump >= bound:
+                return False
+    return True

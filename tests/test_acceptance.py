@@ -171,7 +171,7 @@ def test_criterion_05_stable_set_counts():
         system = AugSystem(n, "standard", 50)
         for k in range(3, 31):
             rep = stable_class_count(system, BasePoint(periodic_point(k)),
-                                     Fraction(1, k), k_hi=50)
+                                     Fraction(1, k))
             ok = ok and rep.count == n
         sample = full_sample(system)
         for x in sample:
@@ -180,9 +180,8 @@ def test_criterion_05_stable_set_counts():
             if level is not None:
                 radii.append(level)
             for eps in radii:
-                here = stable_class_count(system, x, eps, k_hi=50).count
-                there = stable_class_count(system, aug_map(x), eps,
-                                           k_hi=50).count
+                here = stable_class_count(system, x, eps).count
+                there = stable_class_count(system, aug_map(x), eps).count
                 ok = ok and here <= n and there <= n and here <= there
     elapsed = time.perf_counter() - start
     report(5, "stable set counts", ok, elapsed,
@@ -196,7 +195,7 @@ def test_criterion_06_uniform_stable_radius():
     ok = True
     for k in range(3, 31):
         r = local_stable_radius(system, BasePoint(periodic_point(k)),
-                                Fraction(1, k), k_hi=50)
+                                Fraction(1, k))
         ok = ok and r == Fraction(1, 4 * k)
     sample = construction_sample(system, extras_k_hi=12, orbits_k_hi=12,
                                  random_count=60, seed=11)
@@ -204,9 +203,9 @@ def test_criterion_06_uniform_stable_radius():
     for x in sample:
         level = _level_radius(x)
         eps = level if level is not None else QUARTER
-        r = local_stable_radius(system, x, eps, k_hi=50)
+        r = local_stable_radius(system, x, eps)
         for m in range(-8, 9):
-            rep = stable_class_count(system, aug_iterate(x, m), r, k_hi=50)
+            rep = stable_class_count(system, aug_iterate(x, m), r)
             ok = ok and rep.count == 1
         checked += 1
     elapsed = time.perf_counter() - start

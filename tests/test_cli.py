@@ -162,6 +162,8 @@ def test_config_overrides_flags(runner, tmp_path):
     ["construct", "--k-hi", "80"],
     ["expansivity", "--c", "0/1"],
     ["shadow", "--eps", "1/1000"],
+    ["ball", "--center", "periodic:5", "--radius", "1/5", "--mode", "horizon",
+     "--horizon", "-1"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -199,3 +201,26 @@ def test_config_may_reset_an_optional_flag(runner, tmp_path):
     report = load(tmp_path, "classes")
     assert report["config"]["eps"] is None
     assert report["result"]["epsilon"] == "1/12"
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value, rest", [
+    ("construct", "k_hi", 0, []),
+    ("expansivity", "k_hi", 0, []),
+    ("metric-axioms", "trials", -1, []),
+    ("stable-radius", "window", -1, ["--center", "periodic:7"]),
+])
+def test_non_positive_sizes_exit_two(runner, tmp_path, via, command, name,
+                                     value, rest):
+    if via == "flag":
+        args = [f"--{name.replace('_', '-')}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        args = ["--config", str(cfg)]
+    result = runner.invoke(main, [command, *rest, *args,
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "range" in result.output
+    assert not (tmp_path / f"{command}.json").exists()

@@ -6,14 +6,12 @@ import pytest
 from nexpansive.base import BiSeq, periodic_point
 from nexpansive.space import AugSystem, BasePoint, ExtraPoint
 from nexpansive.expansivity import dynamic_ball, stable_class_count
-from nexpansive.shadowing import LimitPseudoOrbit, PseudoOrbit
+from nexpansive.shadowing import PseudoOrbit
 from nexpansive.codec import (
     biseq_from_json,
     biseq_to_json,
     encode,
     format_fraction,
-    limit_orbit_from_json,
-    limit_orbit_to_json,
     parse_fraction,
     point_from_json,
     point_to_json,
@@ -21,8 +19,6 @@ from nexpansive.codec import (
     pseudo_orbit_to_json,
     system_from_json,
     system_to_json,
-    two_sided_orbit_from_json,
-    two_sided_orbit_to_json,
 )
 from nexpansive.samples import drifting_two_sided_orbit
 
@@ -58,31 +54,27 @@ def test_system_round_trip():
     assert system_from_json({}) == AugSystem(2, "standard", 50)
 
 
-def test_pseudo_orbit_round_trip():
-    x = BasePoint(BiSeq("01"))
-    po = PseudoOrbit(tuple(BasePoint(x.seq.shift(t)) for t in range(5)),
-                     Fraction(1, 32))
+def _orbit(word, length):
+    x = BasePoint(BiSeq(word))
+    return tuple(BasePoint(x.seq.shift(t)) for t in range(length))
+
+
+@pytest.mark.parametrize("po, schedule", [
+    (PseudoOrbit(_orbit("01", 5), Fraction(1, 32)),
+     [{"k": 0, "bound": "1/32"}]),
+    (PseudoOrbit(_orbit("011", 6), ((0, Fraction(1, 8)), (2, Fraction(1, 64)))),
+     [{"k": 0, "bound": "1/8"}, {"k": 2, "bound": "1/64"}]),
+    (drifting_two_sided_orbit(half=16, defect_step=8),
+     [{"k": 0, "bound": "1/2"}, {"k": 8, "bound": "1/8"}]),
+], ids=["constant-delta", "forward-schedule", "two-sided"])
+def test_pseudo_orbit_round_trip(po, schedule):
     data = pseudo_orbit_to_json(po)
-    assert data["delta"] == "1/32"
+    assert data["schedule"] == schedule
+    assert data["start"] == po.start
     back = pseudo_orbit_from_json(json.loads(json.dumps(data)))
-    assert back.points == po.points and back.delta == po.delta
-
-
-def test_limit_orbit_round_trip():
-    x = BasePoint(BiSeq("011"))
-    lpo = LimitPseudoOrbit(
-        tuple(BasePoint(x.seq.shift(t)) for t in range(6)),
-        ((0, Fraction(1, 8)), (2, Fraction(1, 64))))
-    back = limit_orbit_from_json(limit_orbit_to_json(lpo))
-    assert back.points == lpo.points and back.schedule == lpo.schedule
-
-
-def test_two_sided_round_trip():
-    ts = drifting_two_sided_orbit(half=16, defect_step=8)
-    back = two_sided_orbit_from_json(two_sided_orbit_to_json(ts))
-    assert back.points == ts.points
-    assert back.start == ts.start
-    assert back.schedule == ts.schedule
+    assert back.points == po.points
+    assert back.start == po.start
+    assert back.schedule == po.schedule
 
 
 def test_encode_reports_deterministically(sys3):

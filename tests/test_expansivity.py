@@ -162,6 +162,11 @@ class TestDynamicBalls:
         exact = dynamic_ball(sys3, center, Fraction(1, 5))
         assert set(exact.members) <= set(ball.members)
 
+    def test_negative_horizon_rejected(self, sys3):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            dynamic_ball(sys3, BasePoint(periodic_point(5)), Fraction(1, 5),
+                         mode="horizon", horizon=-1)
+
     def test_window_sup_lower_bounds_orbit_sup(self, sys3):
         pts = mixed_points(sys3, 83, count=4)
         for x in pts:
@@ -256,8 +261,7 @@ class TestStableClassCounts:
         for center in centers:
             for eps in (QUARTER, Fraction(1, 8), Fraction(1, 5)):
                 want = oracle_stable_classes(sys3, center, eps, universe)
-                got = stable_class_count(sys3, center, eps, k_hi=12,
-                                         sample=universe)
+                got = stable_class_count(sys3, center, eps, sample=universe)
                 assert got.count == len(want), (center, eps)
                 got_classes = {
                     frozenset(p for p in cls if p in set(universe) | {center})

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nexpansive.base import BiSeq, dyadic, periodic_point
+from nexpansive.base import BiSeq, dyadic, flip_symbol, periodic_point
 from nexpansive.space import (
     BasePoint,
     ExtraPoint,
@@ -16,11 +18,9 @@ from nexpansive.shadowing import (
     DecayThresholdError,
     DichotomyError,
     IsolationError,
-    LimitPseudoOrbit,
     PseudoOrbit,
     ScheduleError,
     Specification,
-    TwoSidedLimitPseudoOrbit,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,
@@ -34,6 +34,7 @@ from nexpansive.samples import (
     hop_pseudo_orbit,
     switching_limit_orbit,
 )
+from oracles import brute_schedule_ok
 
 QUARTER = Fraction(1, 4)
 
@@ -65,25 +66,61 @@ class TestPseudoOrbitTypes:
     def test_limit_schedule_validation(self):
         zero = BasePoint(BiSeq("0"))
         pts = tuple(aug_iterate(zero, t) for t in range(8))
-        LimitPseudoOrbit(pts, ((0, Fraction(1, 2)), (2, Fraction(1, 4))))
+        PseudoOrbit(pts, ((0, Fraction(1, 2)), (2, Fraction(1, 4))))
         with pytest.raises(ValueError, match="decreasing"):
-            LimitPseudoOrbit(pts, ((0, Fraction(1, 4)), (2, Fraction(1, 2))))
+            PseudoOrbit(pts, ((0, Fraction(1, 4)), (2, Fraction(1, 2))))
         with pytest.raises(ValueError, match="increasing"):
-            LimitPseudoOrbit(pts, ((2, Fraction(1, 2)), (2, Fraction(1, 4))))
+            PseudoOrbit(pts, ((2, Fraction(1, 2)), (2, Fraction(1, 4))))
 
     def test_limit_gap_checks(self):
         zero = BasePoint(BiSeq("0"))
         spike = BasePoint(BiSeq("0", "1", "0", 6))
         pts = (zero, spike, aug_iterate(spike, 1), aug_iterate(spike, 2))
         # the jump into the spike point has size 2**-6
-        LimitPseudoOrbit(pts, ((0, Fraction(1, 32)),))
+        PseudoOrbit(pts, ((0, Fraction(1, 32)),))
         with pytest.raises(ValueError, match="violates"):
-            LimitPseudoOrbit(pts, ((0, Fraction(1, 128)),))
+            PseudoOrbit(pts, ((0, Fraction(1, 128)),))
 
     def test_two_sided_window_contains_zero(self):
         zero = BasePoint(BiSeq("0"))
         with pytest.raises(ValueError, match="zero"):
-            TwoSidedLimitPseudoOrbit((zero, zero), 3, ((0, Fraction(1, 2)),))
+            PseudoOrbit((zero, zero), ((0, Fraction(1, 2)),), 3)
+
+    def test_delta_is_the_index_zero_bound(self):
+        zero = BasePoint(BiSeq("0"))
+        assert PseudoOrbit((zero,), Fraction(1, 8)).delta == Fraction(1, 8)
+        po = PseudoOrbit((zero, zero), ((1, Fraction(1, 8)),))
+        assert po.delta is None
+        with pytest.raises(ValueError, match="uniform jump bound"):
+            shadow_pseudo_orbit(po, QUARTER)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_validation_matches_definition(self, data):
+        # a true orbit with symbol flips at small depths, so jumps take
+        # many dyadic values; schedules may repeat an index or a bound
+        word = data.draw(st.text("01", min_size=1, max_size=4))
+        x = BiSeq(word, data.draw(st.text("01", max_size=4)), "0")
+        start = data.draw(st.integers(-6, 0))
+        length = data.draw(st.integers(-start + 1, -start + 8))
+        points = []
+        for t in range(start, start + length):
+            seq = x.shift(t)
+            for pos in data.draw(st.lists(st.integers(-6, 6), max_size=2)):
+                seq = flip_symbol(seq, pos)
+            points.append(BasePoint(seq))
+        size = data.draw(st.integers(1, 3))
+        ks = sorted(data.draw(st.lists(st.integers(0, 7), min_size=size,
+                                       max_size=size)))
+        exps = sorted(data.draw(st.lists(st.integers(0, 7), min_size=size,
+                                         max_size=size)))
+        schedule = tuple(zip(ks, (dyadic(e) for e in exps)))
+        try:
+            PseudoOrbit(points, schedule, start)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == brute_schedule_ok(points, start, schedule)
 
     def test_specification_ordering(self):
         zero = BasePoint(BiSeq("0"))
@@ -188,9 +225,9 @@ class TestLimitShadowing:
     def test_true_orbit_prefix(self, sys3):
         w = BasePoint(BiSeq("011", "0", "10", 0))
         pts = tuple(aug_iterate(w, t) for t in range(40))
-        lpo = LimitPseudoOrbit(pts, ((0, Fraction(1, 64)),
-                                     (1, Fraction(1, 256)),
-                                     (2, Fraction(1, 1024))))
+        lpo = PseudoOrbit(pts, ((0, Fraction(1, 64)),
+                                (1, Fraction(1, 256)),
+                                (2, Fraction(1, 1024))))
         report = limit_shadow(sys3, lpo)
         assert in_stable_set(report.point, w)
         assert all(idx == 0 for _, idx in report.decay)
@@ -212,9 +249,9 @@ class TestLimitShadowing:
     def test_convergence_into_satellite_orbit(self, sys3):
         q = ExtraPoint(1, 4, 0)
         pts = tuple(aug_iterate(q, t) for t in range(64))
-        lpo = LimitPseudoOrbit(pts, ((0, Fraction(1, 64)),
-                                     (4, Fraction(1, 256)),
-                                     (8, Fraction(1, 1024))))
+        lpo = PseudoOrbit(pts, ((0, Fraction(1, 64)),
+                                (4, Fraction(1, 256)),
+                                (8, Fraction(1, 1024))))
         report = limit_shadow(sys3, lpo)
         assert isinstance(report.point, ExtraPoint)
         assert report.point.k == 4
@@ -223,7 +260,7 @@ class TestLimitShadowing:
     def test_short_prefix_rejected(self, sys3):
         w = BasePoint(BiSeq("0"))
         pts = tuple(aug_iterate(w, t) for t in range(40))
-        lpo = LimitPseudoOrbit(pts, ((0, Fraction(1, 2)),))
+        lpo = PseudoOrbit(pts, ((0, Fraction(1, 2)),))
         with pytest.raises(ScheduleError, match="stages"):
             limit_shadow(sys3, lpo)
 
@@ -231,8 +268,8 @@ class TestLimitShadowing:
         # the drifting orbit keeps a defect at every fourth index, so no
         # single point can track it to absurd precision
         ts = drifting_two_sided_orbit(half=64)
-        lpo = LimitPseudoOrbit(tuple(ts.at(t) for t in range(ts.end + 1)),
-                               ts.schedule)
+        lpo = PseudoOrbit(tuple(ts.at(t) for t in range(ts.end + 1)),
+                          ts.schedule)
         with pytest.raises(DecayThresholdError):
             limit_shadow(sys3, lpo, thresholds=(Fraction(1, 2 ** 4000),))
 
@@ -275,10 +312,9 @@ class TestTwoSidedShadowing:
     def test_same_satellite_orbit_short_circuits(self, sys3):
         q = ExtraPoint(1, 3, 0)
         pts = tuple(aug_iterate(q, t) for t in range(-20, 21))
-        ts = TwoSidedLimitPseudoOrbit(pts, -20,
-                                      ((0, Fraction(1, 64)),
-                                       (4, Fraction(1, 256)),
-                                       (8, Fraction(1, 1024))))
+        ts = PseudoOrbit(pts, ((0, Fraction(1, 64)),
+                               (4, Fraction(1, 256)),
+                               (8, Fraction(1, 1024))), -20)
         report = two_sided_limit_shadow(sys3, ts)
         assert isinstance(report.point, ExtraPoint)
         assert report.point.k == 3
@@ -288,9 +324,8 @@ class TestTwoSidedShadowing:
         left = [ExtraPoint(1, 3, t % 4) for t in range(-20, 0)]
         right = [ExtraPoint(2, 3, t % 4) for t in range(0, 21)]
         pts = tuple(left + right)
-        ts = TwoSidedLimitPseudoOrbit(pts, -20,
-                                      ((0, Fraction(1, 2)),
-                                       (6, Fraction(1, 128)),
-                                       (10, Fraction(1, 1024))))
+        ts = PseudoOrbit(pts, ((0, Fraction(1, 2)),
+                               (6, Fraction(1, 128)),
+                               (10, Fraction(1, 1024))), -20)
         with pytest.raises(IsolationError):
             two_sided_limit_shadow(sys3, ts)
