@@ -9,7 +9,6 @@ statistics and the limit variants of tracing.
 
 from nexpansive.base import (
     BiSeq,
-    Cylinder,
     base_dist,
     base_shadow,
     dyadic,
@@ -17,7 +16,6 @@ from nexpansive.base import (
     glue_specification,
     least_period,
     left_tails_agree,
-    mixing_witness,
     periodic_orbit,
     periodic_point,
     right_tails_agree,
@@ -43,7 +41,6 @@ from nexpansive.expansivity import (
     check_expansivity,
     dynamic_ball,
     in_local_stable,
-    in_local_unstable,
     in_stable_set,
     in_unstable_set,
     local_stable_radius,
@@ -58,7 +55,6 @@ from nexpansive.chains import (
     ClassPartition,
     build_chain_graph,
     chain_classes,
-    isolation_certificate,
 )
 from nexpansive.shadowing import (
     PseudoOrbit,

@@ -15,7 +15,6 @@ No floating point appears anywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
@@ -384,51 +383,3 @@ def glue_specification(segments, spacing):
     for (a, b), seq in segments:
         buf[a - h - lo:b + h + 1 - lo] = seq.window(-h, b - a + h + 1)
     return BiSeq("0", "".join(buf), "0", lo)
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of sequences spelling ``word`` from index ``start`` on."""
-
-    start: int
-    word: str
-
-    def __post_init__(self):
-        _check_word(self.word, "cylinder word")
-
-    @property
-    def end(self):
-        return self.start + len(self.word)
-
-    def contains(self, x):
-        return x.window(self.start, self.end) == self.word
-
-
-def mixing_point(u, v, j):
-    """A point of u whose j-th shift image lies in v.
-
-    Only meaningful once j separates the two windows; the constructor
-    writes both words onto a background of zeroes.
-    """
-    lo = min(u.start, v.start + j)
-    hi = max(u.end, v.end + j)
-    buf = ["0"] * (hi - lo)
-    buf[u.start - lo:u.end - lo] = u.word
-    buf[v.start + j - lo:v.end + j - lo] = v.word
-    return BiSeq("0", "".join(buf), "0", lo)
-
-
-def mixing_witness(u, v, verify_span=16):
-    """A time k after which every shift image of u meets v.
-
-    For the full shift the window widths plus the window misalignment give
-    such a k: from then on the two constraints live on disjoint index sets
-    and a witness point can spell out both. The returned k is verified
-    constructively for j in [k, k + verify_span] before being reported.
-    """
-    k = len(u.word) + len(v.word) + max(0, u.start - v.start)
-    for j in range(k, k + verify_span + 1):
-        y = mixing_point(u, v, j)
-        if not (u.contains(y) and v.contains(y.shift(j))):  # pragma: no cover
-            raise AssertionError(f"witness construction failed at j={j}")
-    return k

@@ -167,23 +167,6 @@ def chain_classes(graph):
         transient=tuple([graph.nodes[i] for i in sorted(transient)]))
 
 
-def isolation_certificate(q, eps, sample):
-    """Certify that no eps-chain can leave the orbit of a satellite point.
-
-    Every other point of the space sits at distance at least 1/k from a
-    level-k satellite, so for eps below 1/k the orbit is unreachable from
-    and cannot reach the rest of the sample. The check is the exact
-    distance bound over the sample; equality is allowed since pseudo-orbit
-    jumps are strict.
-    """
-    if not isinstance(q, ExtraPoint):
-        raise ValueError("isolation applies to satellite points")
-    floor = Fraction(1, q.k)
-    if eps >= floor:
-        raise ValueError(f"eps must be below 1/{q.k} for the isolation bound")
-    return all(aug_dist(q, y) >= floor for y in sample if y != q)
-
-
 def edges_csv(graph):
     """Edge list as CSV lines (u_index, v_index), header included."""
     lines = ["u,v"]

@@ -203,7 +203,7 @@ def construct(n, variant, k_max, out, config, k_hi):
 @_system_options
 @click.option("--center", required=True, help="point spec, e.g. extra:1,5,0")
 @click.option("--radius", required=True, help="exact rational p/q")
-@click.option("--k-hi", default=None, type=int)
+@click.option("--k-hi", default=None, type=click.IntRange(min=1))
 @click.option("--mode", default="exact", type=click.Choice(["exact", "horizon"]),
               show_default=True)
 @click.option("--horizon", default=32, show_default=True)
@@ -226,7 +226,8 @@ def ball(n, variant, k_max, out, config, center, radius, k_hi, mode, horizon):
 @click.option("--k-hi", default=20, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--seed", default=7, show_default=True)
-@click.option("--random-count", default=100, show_default=True)
+@click.option("--random-count", default=100, show_default=True,
+              type=click.IntRange(min=0))
 def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
     """Certify the level bound and falsify the next lower one."""
     run = _Run(n, variant, k_max, out, config, c=c, k_hi=k_hi, seed=seed,
@@ -239,7 +240,7 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
                                      orbits_k_hi=min(k_hi, 12),
                                      random_count=run.param("random_count"),
                                      seed=run.param("seed"))
-        cert = check_expansivity(sys, radius, sample, k_hi=k_hi)
+        cert = check_expansivity(sys, radius, sample)
     payload = {"certificate": cert, "sample_size": len(sample)}
     ok = isinstance(cert, ExpansivityCertificate)
     if sys.variant == "standard" and sys.n >= 2:
@@ -256,7 +257,8 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
 @click.option("--eps", default="1/4", show_default=True)
 @click.option("--delta-exp", default=6, show_default=True,
               help="jump bound 2**-delta_exp for generated pseudo-orbits")
-@click.option("--orbits", default=20, show_default=True)
+@click.option("--orbits", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--length", default=100, show_default=True)
 @click.option("--seed", default=7, show_default=True)
 def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed):
@@ -408,7 +410,7 @@ def two_sided(n, variant, k_max, out, config, half, past_word, future_word,
 @click.option("--trials", default=100000, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--seed", default=7, show_default=True)
-@click.option("--k-hi", default=None, type=int)
+@click.option("--k-hi", default=None, type=click.IntRange(min=1))
 def metric_axioms(n, variant, k_max, out, config, trials, seed, k_hi):
     """Exact symmetry and triangle inequality over seeded random triples."""
     run = _Run(n, variant, k_max, out, config, trials=trials, seed=seed,

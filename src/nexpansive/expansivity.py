@@ -55,26 +55,11 @@ def _base_sup_fwd(s, u):
     return ZERO if w is None else HALF ** (-w)
 
 
-def _base_sup_bwd(s, u):
-    """sup over t <= 0 of base_dist(s.shift(t), u.shift(t)), exactly."""
-    if first_mismatch_bwd(s, u, 0) is not None:
-        return ONE
-    w = first_mismatch_fwd(s, u, 1)
-    return ZERO if w is None else HALF ** w
-
-
 def sup_forward_dist(x, y):
     """sup of d(f^t x, f^t y) over t >= 0."""
     if x == y:
         return ZERO
     return tag_gap(x, y) + _base_sup_fwd(project(x), project(y))
-
-
-def sup_backward_dist(x, y):
-    """sup of d(f^t x, f^t y) over t <= 0."""
-    if x == y:
-        return ZERO
-    return tag_gap(x, y) + _base_sup_bwd(project(x), project(y))
 
 
 def sup_orbit_dist(x, y):
@@ -101,10 +86,6 @@ def limsup_forward_dist(x, y):
 def in_local_stable(y, x, eps):
     """Membership of y in the local stable set of x at size eps."""
     return sup_forward_dist(y, x) <= eps
-
-
-def in_local_unstable(y, x, eps):
-    return sup_backward_dist(y, x) <= eps
 
 
 def in_stable_set(y, x):
@@ -136,7 +117,6 @@ class DynamicBallReport:
     distances: tuple
     mode: str                # "exact" or "horizon"
     horizon: int | None
-    k_hi: int
     universe: str
 
     def __len__(self):
@@ -175,41 +155,37 @@ def window_sup_dist(x, y, horizon):
                for t in range(-horizon, horizon + 1))
 
 
-def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32,
-                 candidates=()):
+def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32):
     """The set of points tracking the center's orbit within ``radius``.
 
     Exact mode requires radius < 1/2 and derives the full member set from
-    the metric's case structure; no enumeration bound can affect it. The
-    horizon mode restricts attention to the enumerated satellites up to
-    k_hi together with caller-supplied candidates, and tests each over the
-    time window |t| <= horizon, which is the honest thing to report once
-    the radius reaches the base separation scale.
+    the metric's case structure; no enumeration bound can affect it, so it
+    ignores k_hi. The horizon mode restricts attention to the center and
+    the enumerated satellites up to k_hi (default sys.k_max), and tests
+    each over the time window |t| <= horizon, which is the honest thing to
+    report once the radius reaches the base separation scale.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     sys.validate_point(center)
-    k_hi = sys.k_max if k_hi is None else k_hi
     if mode == "exact":
         if radius >= HALF:
             raise ValueError("exact dynamic balls require radius < 1/2")
         members = _exact_ball_members(sys, center, radius)
-        universe = ("closed form over all satellites and base points; "
-                    f"satellite levels up to k_hi={k_hi} enumerated for cross-checks")
+        universe = "closed form over all satellites and base points"
         hor = None
     elif mode == "horizon":
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
+        k_hi = sys.k_max if k_hi is None else k_hi
         pool = {center}
         pool.update(sys.extra_points(k_hi))
-        pool.update(candidates)
         members = {}
         for y in sorted(pool, key=canonical_key):
             d = window_sup_dist(center, y, horizon)
             if d <= radius:
                 members[y] = d
-        universe = (f"satellites up to k_hi={k_hi} plus {len(candidates)} "
-                    f"caller candidates, window |t|<={horizon}")
+        universe = f"satellites up to k_hi={k_hi}, window |t|<={horizon}"
         hor = horizon
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -218,7 +194,7 @@ def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32,
         center=center, radius=radius,
         members=tuple(ordered),
         distances=tuple(members[y] for y in ordered),
-        mode=mode, horizon=hor, k_hi=k_hi, universe=universe)
+        mode=mode, horizon=hor, universe=universe)
 
 
 @dataclass(frozen=True)
@@ -239,7 +215,7 @@ class ExpansivityFalsifier:
     distances: tuple
 
 
-def check_expansivity(sys, radius, sample, k_hi=None, bound=None):
+def check_expansivity(sys, radius, sample, bound=None):
     """Certify that no dynamic ball over the sample exceeds ``bound`` points.
 
     Returns a certificate, or a falsifier listing a ball with bound + 1
@@ -249,7 +225,7 @@ def check_expansivity(sys, radius, sample, k_hi=None, bound=None):
     largest, witness = 0, None
     seen = 0
     for x in sample:
-        ball = dynamic_ball(sys, x, radius, k_hi=k_hi)
+        ball = dynamic_ball(sys, x, radius)
         seen += 1
         if len(ball) > largest:
             largest, witness = len(ball), x

@@ -75,23 +75,23 @@ def window_probe(seq, depth):
 
 
 def construction_sample(sys, extras_k_hi=50, orbits_k_hi=12, random_count=200,
-                        seed=7, probe_levels=(3, 5, 8), probe_depths=(2, 4, 8)):
+                        seed=7):
     """The standard verification sample.
 
     Satellites up to extras_k_hi, the full tagged periodic orbits up to
-    orbits_k_hi, seeded random base points, and structured probes around a
-    few periodic points: window copies and single-symbol flips at several
-    depths, points that stay close to an orbit for a while without
-    following it.
+    orbits_k_hi, seeded random base points, and structured probes around
+    the periodic points of levels 3, 5 and 8: window copies and
+    single-symbol flips at depths 2, 4 and 8, points that stay close to an
+    orbit for a while without following it.
     """
     pts = list(sys.extra_points(extras_k_hi))
     for k in range(1, orbits_k_hi + 1):
         pts.extend(BasePoint(s) for s in periodic_orbit(k))
     rng = random.Random(seed)
     pts.extend(BasePoint(random_biseq(rng)) for _ in range(random_count))
-    for k in probe_levels:
+    for k in (3, 5, 8):
         base = periodic_point(k)
-        for d in probe_depths:
+        for d in (2, 4, 8):
             pts.append(BasePoint(window_probe(base, d)))
             pts.append(BasePoint(flip_symbol(base, d + 1)))
             pts.append(BasePoint(flip_symbol(base, -(d + 1))))
@@ -104,23 +104,22 @@ def _splice_future(seq, target, cut):
     return assemble(seq, cut, "", cut, target, 0)
 
 
-def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6, level_lo=None,
-                     level_hi=None):
+def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
     """A pseudo-orbit with jumps below 2**-delta_exp that really wanders.
 
     Mostly follows true orbits, but with seeded probability it perturbs a
     symbol beyond the jump depth, drifts its future off toward another
-    deep periodic pattern, boards the satellite copy of a deep orbit it
-    currently rides, or steps back down to the base. Satellites shallower
-    than the jump bound never appear, so the isolation dichotomy of the
-    tracing engine is respected by construction.
+    deep periodic pattern (levels 2**delta_exp + 1 to 2**delta_exp + 25),
+    boards the satellite copy of a deep orbit it currently rides, or steps
+    back down to the base. Satellites shallower than the jump bound never
+    appear, so the isolation dichotomy of the tracing engine is respected
+    by construction.
     """
     bound = dyadic(delta_exp)
-    level_lo = 2 ** delta_exp + 1 if level_lo is None else level_lo
-    level_hi = level_lo + 24 if level_hi is None else level_hi
+    level_lo = 2 ** delta_exp + 1
 
     def fresh_level():
-        k = rng.randint(level_lo, level_hi)
+        k = rng.randint(level_lo, level_lo + 24)
         return k, rng.randint(0, k)
 
     k, j = fresh_level()
@@ -174,8 +173,7 @@ def piecewise_periodic(boundaries, seqs):
     return BiSeq(left, "".join(chunks), right, first)
 
 
-def switching_limit_orbit(word_a="001", word_b="01", stages=10,
-                          with_defects=True):
+def switching_limit_orbit(word_a="001", word_b="01", stages=10):
     """A limit pseudo-orbit alternating between two periodic patterns.
 
     Region s covers times [2**s, 2**(s+1)) and rides the orbit of pattern
@@ -212,7 +210,7 @@ def switching_limit_orbit(word_a="001", word_b="01", stages=10,
     for t in range(length):
         s = region_of(t)
         point = carrier(s).shift(t)
-        if with_defects and s >= 2 and (t - 2 ** s) % max(4, 2 ** (s - 2)) == 0:
+        if s >= 2 and (t - 2 ** s) % max(4, 2 ** (s - 2)) == 0:
             point = flip_symbol(point, s + 3)
         pts.append(BasePoint(point))
     schedule = tuple((2 ** s, dyadic(s)) for s in range(1, stages))

@@ -37,6 +37,10 @@ from nexpansive.expansivity import (
 )
 
 
+# The stable-set scale of the limit tracers; stage j traces at AMBIENT/(j+1).
+AMBIENT = Fraction(1, 4)
+
+
 class DichotomyError(ValueError):
     """A tightly isolated satellite point appeared inside a pseudo-orbit
     that does not follow its orbit; the chosen delta was too coarse."""
@@ -201,21 +205,17 @@ class ShadowCheck:
     worst_dist: Fraction
 
 
-def verify_shadow(po, y, eps, t0=0):
+def verify_shadow(po, y, eps):
     """Exact per-index check that y tracks the pseudo-orbit within eps.
 
-    The point at time s of the pseudo-orbit (a plain sequence starts at
-    time 0) is compared against the (t0 + s)-th image of y; the report
-    carries the worst index and its exact distance. The comparison is
-    non-strict so that eps equal to the diameter accepts every point.
+    The point at time s of the pseudo-orbit is compared against the s-th
+    image of y; the report carries the worst index and its exact distance.
+    The comparison is non-strict so that eps equal to the diameter accepts
+    every point.
     """
-    if isinstance(po, PseudoOrbit):
-        points, t0 = po.points, t0 + po.start
-    else:
-        points = tuple(po)
     worst_i, worst_d = 0, Fraction(0)
-    for t, x in enumerate(points):
-        d = aug_dist(aug_iterate(y, t0 + t), x)
+    for t, x in enumerate(po.points):
+        d = aug_dist(aug_iterate(y, po.start + t), x)
         if d > worst_d:
             worst_i, worst_d = t, d
     return ShadowCheck(ok=worst_d <= eps, eps=eps,
@@ -321,12 +321,12 @@ class LimitShadowReport:
     candidates: tuple     # canonical keys of the representatives tried
 
 
-def _decay_index(dists, threshold, min_run=2):
+def _decay_index(dists, threshold):
     """First index from which every listed distance stays strictly below
     threshold, or None.
 
-    The bound must be maintained over at least min_run trailing entries;
-    a single matching value at the very end is no evidence of decay (the
+    The bound must be maintained over at least two trailing entries; a
+    single matching value at the very end is no evidence of decay (the
     traced point always agrees with the final pseudo-orbit entry by
     construction).
     """
@@ -335,32 +335,38 @@ def _decay_index(dists, threshold, min_run=2):
         if dists[t] >= threshold:
             break
         cut = t
-    return cut if cut <= len(dists) - min_run else None
+    return cut if cut <= len(dists) - 2 else None
 
 
-def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4),
-                 stabilization_window=16, max_stages=8):
+def _check_thresholds(thresholds):
+    if any(th <= 0 for th in thresholds):
+        raise ValueError("thresholds must be positive")
+
+
+def limit_shadow(sys, lpo, thresholds=None):
     """Trace a limit pseudo-orbit by a point with vanishing forward error.
 
     Works in stages: stage j retraces the tail of the prefix from the
     first schedule index whose bound meets the tracing modulus for
-    resolution ambient/(j+1), then pulls the traced point back to time
+    resolution AMBIENT/(j+1), then pulls the traced point back to time
     zero. Finer resolutions keep producing stages as long as the schedule
-    supports them; max_stages caps the effort, three stages are the
-    minimum. The stage-1 point's stable classes (taken at the stabilized
-    iterate) provide finitely many candidates, and the candidate whose
-    forward distance to the prefix passes every requested threshold is
-    returned together with the index where each threshold is reached.
-    Thresholds default to the schedule bounds visible in the prefix. The
+    supports them, up to eight; three stages are the minimum. The stage-1
+    point's stable classes (at the iterate where their count stabilizes
+    within 16 steps) provide finitely many candidates, and the candidate
+    whose forward distance to the prefix passes every requested threshold
+    is returned with the index where each threshold is reached. Thresholds
+    must be positive and default to the schedule bounds in the prefix. The
     pseudo-orbit must be a forward prefix starting at time zero.
     """
+    if thresholds is not None:
+        _check_thresholds(thresholds)
     if lpo.start != 0:
         raise ScheduleError("limit tracing needs a prefix starting at time 0")
     pts = lpo.points
     horizon = len(pts)
     stages = []
-    for j in range(1, max_stages + 1):
-        res = ambient / (j + 1)
+    for j in range(1, 9):
+        res = AMBIENT / (j + 1)
         mod = shadow_modulus(res)
         entry = next(((k, b) for k, b in lpo.schedule if b <= mod.delta), None)
         if entry is None or entry[0] > horizon - 2:
@@ -380,14 +386,14 @@ def limit_shadow(sys, lpo, thresholds=None, ambient=Fraction(1, 4),
                    gap_bound=st["bound"],
                    consistent=in_local_stable(
                        aug_iterate(st["pullback"], st["start"]),
-                       aug_iterate(first, st["start"]), ambient))
+                       aug_iterate(first, st["start"]), AMBIENT))
         for st in stages)
     try:
-        stab, _ = stabilization_index(sys, first, ambient, stabilization_window)
+        stab, _ = stabilization_index(sys, first, AMBIENT, 16)
     except StabilizationNotReached:
         stab = 0
     anchor = aug_iterate(first, stab)
-    reps = stable_class_count(sys, anchor, ambient).representatives
+    reps = stable_class_count(sys, anchor, AMBIENT).representatives
     candidates = [aug_iterate(r, -stab) for r in reps]
     if thresholds is None:
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
@@ -436,6 +442,15 @@ def _mirror_limit_orbit(tslpo):
     return PseudoOrbit(pts, schedule)
 
 
+def _tail_dists(tslpo, past_point, future_point):
+    """Distances of the past and future halves to the two points' orbits."""
+    past = [aug_dist(aug_iterate(past_point, -t), tslpo.at(-t))
+            for t in range(-tslpo.start + 1)]
+    future = [aug_dist(aug_iterate(future_point, t), tslpo.at(t))
+              for t in range(tslpo.end + 1)]
+    return past, future
+
+
 def _tail_floor(idx, side, bound):
     if idx is None:
         raise ScheduleError(
@@ -444,8 +459,7 @@ def _tail_floor(idx, side, bound):
 
 
 def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
-                                                   HALF ** 4),
-                           ambient=Fraction(1, 4)):
+                                                   HALF ** 4)):
     """Trace a two-sided limit pseudo-orbit with both tails vanishing.
 
     The past half (run backwards through the mirror conjugacy) and the
@@ -461,15 +475,16 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
 
     A pair of tails falling into one and the same satellite orbit is
     traced by that orbit directly; tails in distinct satellite orbits
-    cannot be glued below their isolation distance and raise.
+    cannot be glued below their isolation distance and raise. Thresholds
+    must be positive.
     """
+    _check_thresholds(thresholds)
     past_report = limit_shadow(sys, _mirror_limit_orbit(tslpo),
-                               thresholds=thresholds, ambient=ambient)
+                               thresholds=thresholds)
     # the jumps of the future half were checked against this schedule
     future_half = PseudoOrbit.trusted(tslpo.points[-tslpo.start:],
                                       tslpo.schedule)
-    future_report = limit_shadow(sys, future_half, thresholds=thresholds,
-                                 ambient=ambient)
+    future_report = limit_shadow(sys, future_half, thresholds=thresholds)
     p1 = mirror_point(past_report.point)
     p2 = future_report.point
     eps = delta = glue_eps = None
@@ -481,17 +496,14 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                 "below their isolation distance")
         final = p1
     else:
-        eps1 = local_stable_radius(sys, past_report.point, ambient)
-        eps2 = local_stable_radius(sys, p2, ambient)
+        eps1 = local_stable_radius(sys, past_report.point, AMBIENT)
+        eps2 = local_stable_radius(sys, p2, AMBIENT)
         eps = min(eps1, eps2)
         mod = shadow_modulus(eps)
         delta = mod.delta
         glue_eps = delta / 4
         spacing = specification_spacing(glue_eps)
-        past_d = [aug_dist(aug_iterate(p1, -t), tslpo.at(-t))
-                  for t in range(-tslpo.start + 1)]
-        fut_d = [aug_dist(aug_iterate(p2, t), tslpo.at(t))
-                 for t in range(tslpo.end + 1)]
+        past_d, fut_d = _tail_dists(tslpo, p1, p2)
         junction = max(_tail_floor(_decay_index(past_d, delta), "past", delta),
                        _tail_floor(_decay_index(fut_d, delta), "future", delta),
                        (spacing + 1) // 2)
@@ -516,10 +528,7 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")
-    past_final = [aug_dist(aug_iterate(final, -t), tslpo.at(-t))
-                  for t in range(-tslpo.start + 1)]
-    fut_final = [aug_dist(aug_iterate(final, t), tslpo.at(t))
-                 for t in range(tslpo.end + 1)]
+    past_final, fut_final = _tail_dists(tslpo, final, final)
     past_decay = [(th, _decay_index(past_final, th)) for th in thresholds]
     future_decay = [(th, _decay_index(fut_final, th)) for th in thresholds]
     for side, decay in (("past", past_decay), ("future", future_decay)):

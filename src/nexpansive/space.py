@@ -141,13 +141,6 @@ def aug_iterate(x, t):
     return ExtraPoint(x.i, x.k, (x.j + t) % (x.k + 1))
 
 
-def orbit_of(x):
-    """The full periodic orbit of a satellite point, phase order."""
-    if isinstance(x, BasePoint):
-        raise ValueError("orbit_of expects a satellite point")
-    return [ExtraPoint(x.i, x.k, j) for j in range(x.k + 1)]
-
-
 def orbit_label(seq):
     """Recognize seq as p(k, j), returning (k, j), or None.
 

@@ -100,10 +100,6 @@ def brute_sup_forward(x, y):
     return brute_sup_window(x, y, 0, pair_horizon(x, y))
 
 
-def brute_sup_backward(x, y):
-    return brute_sup_window(x, y, -pair_horizon(x, y), 0)
-
-
 def brute_sup_orbit(x, y):
     h = pair_horizon(x, y)
     return brute_sup_window(x, y, -h, h)

@@ -93,7 +93,7 @@ def test_criterion_02_expansivity_certificates():
         system = AugSystem(n, "standard", 50)
         sample = full_sample(system)
         ok = ok and len(sample) >= 500
-        cert = check_expansivity(system, QUARTER, sample, k_hi=50)
+        cert = check_expansivity(system, QUARTER, sample)
         ok = ok and isinstance(cert, ExpansivityCertificate)
         if isinstance(cert, ExpansivityCertificate):
             ok = ok and cert.largest_ball <= n

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import nexpansive
 from nexpansive.base import (
     BiSeq,
-    Cylinder,
     assemble,
     base_dist,
     base_shadow,
@@ -24,8 +23,6 @@ from nexpansive.base import (
     glue_specification,
     least_period,
     left_tails_agree,
-    mixing_point,
-    mixing_witness,
     periodic_orbit,
     periodic_point,
     right_tails_agree,
@@ -336,37 +333,6 @@ class TestSpecificationGlue:
     def test_rejects_crowded_intervals(self):
         with pytest.raises(ValueError, match="closer than"):
             glue_specification([((0, 1), ZEROS), ((3, 4), ONES)], 5)
-
-
-class TestMixing:
-    def test_unit_cylinders(self):
-        u = Cylinder(0, "0")
-        assert mixing_witness(u, u) == 2
-        for j in range(2, 19):
-            y = mixing_point(u, u, j)
-            assert u.contains(y) and u.contains(y.shift(j))
-
-    def test_window_width_bound(self):
-        u = Cylinder(0, "0000")
-        v = Cylinder(0, "0000")
-        assert mixing_witness(u, v) == 8
-
-    def test_disjoint_words_still_mix(self):
-        u = Cylinder(0, "0000")
-        v = Cylinder(0, "1111")
-        k = mixing_witness(u, v)
-        assert k == 8
-        for j in range(k, k + 17):
-            y = mixing_point(u, v, j)
-            assert u.contains(y) and v.contains(y.shift(j))
-
-    def test_misaligned_windows(self):
-        u = Cylinder(7, "01")
-        v = Cylinder(-2, "10")
-        k = mixing_witness(u, v)
-        assert k == 2 + 2 + 9
-        y = mixing_point(u, v, k)
-        assert u.contains(y) and v.contains(y.shift(k))
 
 
 periods = st.text(alphabet="01", min_size=1, max_size=12)

@@ -12,7 +12,6 @@ from nexpansive.chains import (
     build_chain_graph,
     chain_classes,
     edges_csv,
-    isolation_certificate,
 )
 from nexpansive.samples import construction_sample, random_point
 from oracles import brute_chain_graph, closure_classes
@@ -221,22 +220,3 @@ class TestClasses:
                                  for cls in part.classes)
             assert got_classes == want_classes
             assert tuple(g.nodes.index(p) for p in part.transient) == want_transient
-
-
-class TestIsolation:
-    def test_certificate_over_full_sample(self, sys3):
-        sample = construction_points(sys3, 10)
-        for q in (ExtraPoint(1, 5, 2), ExtraPoint(2, 9, 0)):
-            assert isolation_certificate(q, Fraction(1, q.k + 1), sample)
-
-    def test_projection_sits_exactly_on_the_bound(self, sys3):
-        q = ExtraPoint(1, 5, 2)
-        adversarial = [BasePoint(periodic_point(5).shift(2))]
-        assert aug_dist(q, adversarial[0]) == Fraction(1, 5)
-        assert isolation_certificate(q, Fraction(1, 6), adversarial)
-
-    def test_boundary_eps_rejected(self, sys3):
-        with pytest.raises(ValueError):
-            isolation_certificate(ExtraPoint(1, 5, 0), Fraction(1, 5), [])
-        with pytest.raises(ValueError):
-            isolation_certificate(BasePoint(BiSeq("0")), Fraction(1, 9), [])

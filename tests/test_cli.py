@@ -35,6 +35,21 @@ def test_ball_exact(runner, tmp_path):
     assert len(report["result"]["members"]) == 3
     assert report["result"]["mode"] == "exact"
     assert report["config"]["system"]["n"] == 3
+    assert "k_hi" not in report["result"]
+    assert report["result"]["universe"] == \
+        "closed form over all satellites and base points"
+
+
+def test_ball_horizon(runner, tmp_path):
+    run_ok(runner, tmp_path,
+           ["ball", "--center", "periodic:5", "--radius", "1/5",
+            "--mode", "horizon", "--k-hi", "8", "--horizon", "8"])
+    report = load(tmp_path, "ball")
+    assert report["result"]["mode"] == "horizon"
+    assert len(report["result"]["members"]) == 3
+    assert "k_hi" not in report["result"]
+    assert report["result"]["universe"] == \
+        "satellites up to k_hi=8, window |t|<=8"
 
 
 def test_ball_singleton(runner, tmp_path):
@@ -164,6 +179,9 @@ def test_config_overrides_flags(runner, tmp_path):
     ["shadow", "--eps", "1/1000"],
     ["ball", "--center", "periodic:5", "--radius", "1/5", "--mode", "horizon",
      "--horizon", "-1"],
+    ["limit-shadow", "--thresholds", "0/1"],
+    ["limit-shadow", "--thresholds", "-1/2"],
+    ["two-sided", "--thresholds", "0/1"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -209,6 +227,13 @@ def test_config_may_reset_an_optional_flag(runner, tmp_path):
     ("expansivity", "k_hi", 0, []),
     ("metric-axioms", "trials", -1, []),
     ("stable-radius", "window", -1, ["--center", "periodic:7"]),
+    ("shadow", "orbits", 0, []),
+    ("shadow", "orbits", -1, []),
+    ("ball", "k_hi", 0, ["--center", "periodic:5", "--radius", "1/5",
+                         "--mode", "horizon"]),
+    ("metric-axioms", "k_hi", 0, []),
+    ("metric-axioms", "k_hi", -2, []),
+    ("expansivity", "random_count", -1, []),
 ])
 def test_non_positive_sizes_exit_two(runner, tmp_path, via, command, name,
                                      value, rest):
