@@ -1,0 +1,157 @@
+"""Scaling of the limit tracers with the length of the traced prefix.
+
+Times limit_shadow on switching_limit_orbit(stages=s), whose prefix has
+2**s points, and two_sided_limit_shadow on drifting_two_sided_orbit(half=h),
+whose window has 2h + 1 points, with the thresholds the CLI uses by
+default. Building the pseudo-orbit (and validating its jumps) is not
+timed. Each case also counts the BiSeq.window calls and the symbols they
+build in one extra, untimed run; those counts do not depend on the machine.
+
+    python3 bench/tracing_scaling.py BENCH.json
+    python3 bench/tracing_scaling.py new.json --against old.json
+
+--against embeds an earlier report of this script (for example one made
+on a checkout of the parent commit) under "against" and prints its median
+and window count beside each case. Times are medians over RUNS runs, in
+seconds.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from nexpansive.base import BiSeq, dyadic  # noqa: E402
+from nexpansive.samples import (  # noqa: E402
+    drifting_two_sided_orbit,
+    switching_limit_orbit,
+)
+from nexpansive.shadowing import (  # noqa: E402
+    limit_shadow,
+    two_sided_limit_shadow,
+)
+from nexpansive.space import AugSystem  # noqa: E402
+
+STAGES = (10, 11, 12, 13, 14)
+HALVES = (512, 1024, 2048)
+RUNS = 3
+SYSTEM = AugSystem(3, "standard", 50)
+LIMIT_THRESHOLDS = tuple(dyadic(t) for t in range(1, 6))
+TWO_SIDED_THRESHOLDS = tuple(dyadic(t) for t in range(1, 5))
+
+
+def limit_case(stages):
+    lpo = switching_limit_orbit(stages=stages)
+    return (f"limit_shadow stages={stages}", len(lpo.points),
+            lambda: limit_shadow(SYSTEM, lpo, thresholds=LIMIT_THRESHOLDS),
+            lambda r: [str(i) for _, i in r.decay])
+
+
+def two_sided_case(half):
+    tslpo = drifting_two_sided_orbit(half=half)
+    return (f"two_sided_limit_shadow half={half}", len(tslpo.points),
+            lambda: two_sided_limit_shadow(SYSTEM, tslpo,
+                                           thresholds=TWO_SIDED_THRESHOLDS),
+            lambda r: [[str(i) for _, i in r.past_decay],
+                       [str(i) for _, i in r.future_decay]])
+
+
+def measure(name, points, call, summary):
+    times = []
+    for _ in range(RUNS):
+        t = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - t)
+    calls, symbols = window_counts(call)
+    return {"case": name, "points": points,
+            "median_s": statistics.median(times), "runs": RUNS,
+            "times_s": times, "window_calls": calls,
+            "window_symbols": symbols, "decay": summary(result)}
+
+
+def window_counts(call):
+    """BiSeq.window calls and built symbols of one call()."""
+    plain = BiSeq.window
+    calls = symbols = 0
+
+    def counted(self, lo, hi):
+        nonlocal calls, symbols
+        word = plain(self, lo, hi)
+        calls += 1
+        symbols += len(word)
+        return word
+
+    BiSeq.window = counted
+    try:
+        call()
+    finally:
+        BiSeq.window = plain
+    return calls, symbols
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def git(*args):
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                             text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="earlier report to embed and compare with")
+    args = parser.parse_args()
+    cases = ([limit_case(s) for s in STAGES]
+             + [two_sided_case(h) for h in HALVES])
+    report = {
+        "benchmark": "tracing_scaling",
+        "machine": {"platform": platform.platform(),
+                    "processor": cpu_model(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "commit": git("rev-parse", "HEAD"),
+        "src_modified": bool(git("status", "--porcelain", "--", "src")),
+        "cases": [],
+    }
+    before = {}
+    if args.against:
+        report["against"] = json.loads(args.against.read_text())
+        before = {c["case"]: c for c in report["against"]["cases"]}
+    for case in cases:
+        c = measure(*case)
+        report["cases"].append(c)
+        line = (f"{c['case']:<36} {c['median_s']:8.3f} s  "
+                f"{c['window_calls']:>9} windows  "
+                f"{c['window_symbols']:>11} symbols")
+        old = before.get(c["case"])
+        if old:
+            line += (f"  was {old['median_s']:.3f} s, "
+                     f"{old['window_calls']} windows")
+        print(line, flush=True)
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -23,8 +23,8 @@ _BINARY = frozenset("01")
 
 
 def dyadic(exp):
-    """2**-exp as an exact rational."""
-    return HALF ** exp
+    """2**-exp as an exact rational, for exp >= 0."""
+    return Fraction(1, 1 << exp)
 
 
 def _check_word(word, name):
@@ -80,29 +80,33 @@ class BiSeq:
             raise ValueError(f"core must be a word over 0/1, got {core!r}")
         left = _primitive(left)
         right = _primitive(right)
-        # Absorb core symbols that already continue the adjacent tail.
-        while core and core[0] == left[0]:
-            core = core[1:]
-            left = _rot(left, 1)
-            offset += 1
-        while core and core[-1] == right[-1]:
-            core = core[:-1]
-            right = _rot(right, -1)
+        # Absorb core symbols that already continue the adjacent tail,
+        # rotating each period once for the whole run.
+        n = 0
+        while n < len(core) and core[n] == left[n % len(left)]:
+            n += 1
+        if n:
+            core, left, offset = core[n:], _rot(left, n), offset + n
+        n = len(core)
+        while n and core[n - 1] == right[(n - 1 - len(core)) % len(right)]:
+            n -= 1
+        if n < len(core):
+            core, right = core[:n], _rot(right, n - len(core))
         if not core:
             if left == right:
                 # Globally periodic: pin the representation at index 0.
                 left = right = _rot(left, -offset)
                 offset = 0
-            else:
-                # Slide the seam right as far as the two patterns agree.
-                guard = len(left) * len(right)
-                while left[0] == right[0]:
-                    left = _rot(left, 1)
-                    right = _rot(right, 1)
-                    offset += 1
-                    guard -= 1
-                    if guard < 0:  # pragma: no cover - primitivity rules this out
-                        raise AssertionError("seam slide failed to terminate")
+            elif left[0] == right[0]:
+                # Slide the seam right as far as the two patterns agree;
+                # by Fine and Wilf, distinct primitive words part within
+                # len(left) + len(right) symbols.
+                for n in range(1, len(left) + len(right)):
+                    if left[n % len(left)] != right[n % len(right)]:
+                        break
+                else:  # pragma: no cover - primitivity rules this out
+                    raise AssertionError("seam slide failed to terminate")
+                left, right, offset = _rot(left, n), _rot(right, n), offset + n
         self.left = left
         self.core = core
         self.right = right

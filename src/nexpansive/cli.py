@@ -33,11 +33,10 @@ from nexpansive.expansivity import (
 from nexpansive.chains import build_chain_graph, chain_classes
 from nexpansive.chains import edges_csv as chain_edges_csv
 from nexpansive.shadowing import (
+    _shadow_with_check,
     shadow_modulus,
-    shadow_pseudo_orbit,
     two_sided_limit_shadow,
     limit_shadow,
-    verify_shadow,
 )
 from nexpansive.samples import (
     construction_sample,
@@ -47,6 +46,15 @@ from nexpansive.samples import (
     switching_limit_orbit,
 )
 from nexpansive.codec import encode, parse_fraction
+
+
+# Upper limits of the tracing sizes. At each limit, with the other flags at
+# their defaults, one run took 4-7 s and at most 110 MiB on a 2-vCPU Xeon,
+# which stays near 10 s in that host's 1.6x slow spells.
+MAX_DELTA_EXP = 16
+MAX_LENGTH = 8000
+MAX_STAGES = 15
+MAX_HALF = 8192
 
 
 def _parse_point(text):
@@ -256,10 +264,12 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
 @_system_options
 @click.option("--eps", default="1/4", show_default=True)
 @click.option("--delta-exp", default=6, show_default=True,
+              type=click.IntRange(1, MAX_DELTA_EXP),
               help="jump bound 2**-delta_exp for generated pseudo-orbits")
 @click.option("--orbits", default=20, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--length", default=100, show_default=True)
+@click.option("--length", default=100, show_default=True,
+              type=click.IntRange(1, MAX_LENGTH))
 @click.option("--seed", default=7, show_default=True)
 def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed):
     """Trace seeded wandering pseudo-orbits and verify the error bound."""
@@ -277,8 +287,7 @@ def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed)
         with _invalid_input():
             po = hop_pseudo_orbit(sys, rng, length=run.param("length"),
                                   delta_exp=run.param("delta_exp"))
-            traced = shadow_pseudo_orbit(po, eps)
-        chk = verify_shadow(po, traced, eps)
+            _, chk = _shadow_with_check(po, eps)
         ok = ok and chk.ok
         worst = max(worst, chk.worst_dist)
         checks.append({"orbit": index, "ok": chk.ok,
@@ -365,7 +374,8 @@ def stable_radius(n, variant, k_max, out, config, center, eps, window):
 
 @main.command("limit-shadow")
 @_system_options
-@click.option("--stages", default=10, show_default=True)
+@click.option("--stages", default=10, show_default=True,
+              type=click.IntRange(1, MAX_STAGES))
 @click.option("--word-a", default="001", show_default=True)
 @click.option("--word-b", default="01", show_default=True)
 @click.option("--thresholds", default="1/2,1/4,1/8,1/16,1/32", show_default=True)
@@ -386,7 +396,8 @@ def limit_shadow_cmd(n, variant, k_max, out, config, stages, word_a, word_b,
 
 @main.command("two-sided")
 @_system_options
-@click.option("--half", default=512, show_default=True)
+@click.option("--half", default=512, show_default=True,
+              type=click.IntRange(1, MAX_HALF))
 @click.option("--past-word", default="001", show_default=True)
 @click.option("--future-word", default="0001", show_default=True)
 @click.option("--thresholds", default="1/2,1/4,1/8,1/16", show_default=True)

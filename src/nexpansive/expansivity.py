@@ -26,6 +26,7 @@ from fractions import Fraction
 from nexpansive.base import (
     HALF,
     BiSeq,
+    dyadic,
     first_mismatch_bwd,
     first_mismatch_fwd,
     left_tails_agree,
@@ -52,7 +53,7 @@ def _base_sup_fwd(s, u):
     if first_mismatch_fwd(s, u, 0) is not None:
         return ONE
     w = first_mismatch_bwd(s, u, -1)
-    return ZERO if w is None else HALF ** (-w)
+    return ZERO if w is None else dyadic(-w)
 
 
 def sup_forward_dist(x, y):
@@ -366,7 +367,7 @@ def _stable_entry_time(center, eps, multiplicity):
         return 0
     last = first_mismatch_bwd(s, ext, max(s.core_end, ext.core_end))
     depth = 0
-    while HALF ** depth > spare:
+    while dyadic(depth) > spare:
         depth += 1
     return max(0, last + depth)
 

@@ -24,6 +24,7 @@ from nexpansive.space import (
     aug_map,
     canonical_key,
     mirror_point,
+    orbit_dists,
     project,
 )
 from nexpansive.expansivity import (
@@ -206,16 +207,15 @@ class ShadowCheck:
 
 
 def verify_shadow(po, y, eps):
-    """Exact per-index check that y tracks the pseudo-orbit within eps.
+    """Exact check that y tracks the pseudo-orbit within eps at every index.
 
     The point at time s of the pseudo-orbit is compared against the s-th
-    image of y; the report carries the worst index and its exact distance.
-    The comparison is non-strict so that eps equal to the diameter accepts
-    every point.
+    image of y, in one orbit_dists sweep; the report carries the worst
+    index and its exact distance. The comparison is non-strict so that eps
+    equal to the diameter accepts every point.
     """
     worst_i, worst_d = 0, Fraction(0)
-    for t, x in enumerate(po.points):
-        d = aug_dist(aug_iterate(y, po.start + t), x)
+    for t, d in enumerate(orbit_dists(y, po.points, po.start)):
         if d > worst_d:
             worst_i, worst_d = t, d
     return ShadowCheck(ok=worst_d <= eps, eps=eps,
@@ -235,6 +235,11 @@ def shadow_pseudo_orbit(po, eps):
     within eps/2, and the combined error stays below eps. The result is
     verified at every index before being returned.
     """
+    return _shadow_with_check(po, eps)[0]
+
+
+def _shadow_with_check(po, eps):
+    """shadow_pseudo_orbit's point with the ShadowCheck that verified it."""
     mod = shadow_modulus(eps)
     if po.delta is None:
         raise ValueError("tracing needs a uniform jump bound: a schedule "
@@ -261,7 +266,7 @@ def shadow_pseudo_orbit(po, eps):
     check = verify_shadow(po, result, eps)
     if not check.ok:  # pragma: no cover - the modulus arithmetic forbids this
         raise RuntimeError(f"traced point failed its own verification: {check}")
-    return result
+    return result, check
 
 
 def specification_spacing(eps):
@@ -400,7 +405,7 @@ def limit_shadow(sys, lpo, thresholds=None):
     chosen = None
     chosen_decay = None
     for cand in candidates:
-        dists = [aug_dist(aug_iterate(cand, t), pts[t]) for t in range(horizon)]
+        dists = orbit_dists(cand, pts)
         decay = [(th, _decay_index(dists, th)) for th in thresholds]
         if all(idx is not None for _, idx in decay):
             chosen, chosen_decay = cand, decay
@@ -444,11 +449,10 @@ def _mirror_limit_orbit(tslpo):
 
 def _tail_dists(tslpo, past_point, future_point):
     """Distances of the past and future halves to the two points' orbits."""
-    past = [aug_dist(aug_iterate(past_point, -t), tslpo.at(-t))
-            for t in range(-tslpo.start + 1)]
-    future = [aug_dist(aug_iterate(future_point, t), tslpo.at(t))
-              for t in range(tslpo.end + 1)]
-    return past, future
+    split = -tslpo.start
+    past = orbit_dists(past_point, tslpo.points[:split + 1], tslpo.start)
+    future = orbit_dists(future_point, tslpo.points[split:])
+    return past[::-1], future
 
 
 def _tail_floor(idx, side, bound):

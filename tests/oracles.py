@@ -43,6 +43,35 @@ def brute_base_dist(x, y):
     return Fraction(0) if m is None else Fraction(1, 2) ** m
 
 
+def brute_canonical_fields(left, core, right, offset):
+    """BiSeq's canonical (left, core, right, offset), one symbol at a time.
+
+    Periods shrink to their shortest repeating block; core symbols that
+    continue a tail are moved into it one by one, rotating the period each
+    time; an empty core with equal periods is pinned at index 0, and
+    otherwise the seam slides right while both tails agree.
+    """
+    def primitive(w):
+        return next(w[:d] for d in range(1, len(w) + 1)
+                    if len(w) % d == 0 and w[:d] * (len(w) // d) == w)
+
+    def rot(w, t):
+        t %= len(w)
+        return w[t:] + w[:t]
+
+    left, right = primitive(left), primitive(right)
+    while core and core[0] == left[0]:
+        core, left, offset = core[1:], rot(left, 1), offset + 1
+    while core and core[-1] == right[-1]:
+        core, right = core[:-1], rot(right, -1)
+    if not core:
+        if left == right:
+            return rot(left, -offset), "", rot(left, -offset), 0
+        while left[0] == right[0]:
+            left, right, offset = rot(left, 1), rot(right, 1), offset + 1
+    return left, core, right, offset
+
+
 def brute_right_tails_agree(x, y):
     s0 = max(x.core_end, y.core_end)
     span = math.lcm(len(x.right), len(y.right))
@@ -111,6 +140,12 @@ def brute_ball_members(center, radius, universe):
         (y for y in set(universe) | {center}
          if brute_sup_orbit(center, y) <= radius),
         key=repr)
+
+
+def brute_orbit_dists(y, points, start=0):
+    """d(f^(start + i) y, points[i]) for every i, one aug_dist per index."""
+    return [aug_dist(aug_iterate(y, start + i), x)
+            for i, x in enumerate(points)]
 
 
 def brute_chain_graph(sample, eps):

@@ -29,6 +29,7 @@ from nexpansive.base import (
 )
 from oracles import (
     brute_base_dist,
+    brute_canonical_fields,
     brute_first_mismatch_bwd,
     brute_first_mismatch_fwd,
     brute_least_period,
@@ -100,6 +101,19 @@ class TestCanonicalForm:
             core2 = core2 + right2[0]
             right2 = right2[1:] + right2[0]
         assert BiSeq(left2, core2, right2, offset2) == seq
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="01", min_size=1, max_size=12), cores,
+           st.text(alphabet="01", min_size=1, max_size=12), offsets,
+           st.integers(0, 40), st.integers(0, 40))
+    def test_long_runs_match_symbol_loop(self, left, core, right, offset,
+                                         before, after):
+        # runs that continue the tails, long against the periods
+        core = ((left * 40)[:before] + core
+                + (right * 40)[len(right) * 40 - after:])
+        seq = BiSeq(left, core, right, offset - before)
+        assert (seq.left, seq.core, seq.right, seq.offset) == \
+            brute_canonical_fields(left, core, right, offset - before)
 
     def test_window_matches_indexing(self):
         seq = BiSeq("011", "00110", "10", -3)

@@ -234,6 +234,13 @@ def test_config_may_reset_an_optional_flag(runner, tmp_path):
     ("metric-axioms", "k_hi", 0, []),
     ("metric-axioms", "k_hi", -2, []),
     ("expansivity", "random_count", -1, []),
+    ("limit-shadow", "stages", -3, []),
+    ("limit-shadow", "stages", 0, []),
+    ("two-sided", "half", 0, []),
+    ("two-sided", "half", -4, []),
+    ("shadow", "length", 0, []),
+    ("shadow", "delta_exp", 0, []),
+    ("shadow", "delta_exp", -1, []),
 ])
 def test_non_positive_sizes_exit_two(runner, tmp_path, via, command, name,
                                      value, rest):
@@ -245,6 +252,31 @@ def test_non_positive_sizes_exit_two(runner, tmp_path, via, command, name,
         args = ["--config", str(cfg)]
     result = runner.invoke(main, [command, *rest, *args,
                                   "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "range" in result.output
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, name, limit", [
+    ("limit-shadow", "stages", 15),
+    ("two-sided", "half", 8192),
+    ("shadow", "length", 8000),
+    ("shadow", "delta_exp", 16),
+])
+def test_sizes_above_their_limit_exit_two(runner, tmp_path, via, command,
+                                          name, limit):
+    flag = f"--{name.replace('_', '-')}"
+    help_text = runner.invoke(main, [command, "--help"]).output
+    assert f"1<=x<={limit}" in help_text
+    if via == "flag":
+        args = [flag, str(limit + 1)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: limit + 1}))
+        args = ["--config", str(cfg)]
+    result = runner.invoke(main, [command, *args, "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert "range" in result.output

@@ -2,8 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nexpansive.base import BiSeq, base_dist, periodic_point
+from nexpansive.base import (
+    BiSeq,
+    assemble,
+    base_dist,
+    base_shadow,
+    flip_symbol,
+    periodic_point,
+)
 from nexpansive.space import (
     AugSystem,
     BasePoint,
@@ -13,11 +22,18 @@ from nexpansive.space import (
     aug_map,
     canonical_key,
     mirror_point,
+    orbit_dists,
     orbit_label,
     project,
 )
-from nexpansive.samples import random_point, random_triple
-from oracles import brute_base_dist
+from nexpansive.samples import (
+    drifting_two_sided_orbit,
+    hop_pseudo_orbit,
+    random_point,
+    random_triple,
+    switching_limit_orbit,
+)
+from oracles import brute_base_dist, brute_orbit_dists
 
 
 class TestSystemParameters:
@@ -178,3 +194,95 @@ def test_canonical_key_orders_deterministically(sys3):
     keys = sorted(canonical_key(p) for p in pts)
     assert keys == sorted(set(keys))
     assert keys[0].startswith("base:")
+
+
+def _riders(points, start, picks):
+    """The points whose orbits ride points[i] at time start + i."""
+    return [aug_iterate(points[i % len(points)], -(start + i % len(points)))
+            for i in picks]
+
+
+class TestOrbitDists:
+    """orbit_dists against the per-index oracle brute_orbit_dists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 10), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(-6, 6), st.lists(st.integers(0, 39), max_size=4))
+    def test_hop_orbits(self, delta_exp, seed, length, start, picks):
+        rng = random.Random(seed)
+        sys3 = AugSystem(3, "standard", 64)
+        pts = hop_pseudo_orbit(sys3, rng, length=length,
+                               delta_exp=delta_exp).points
+        ys = _riders(pts, start, picks) + [
+            random_point(sys3, rng, 10),
+            ExtraPoint(1, 2 ** delta_exp + 1, rng.randint(0, 2 ** delta_exp)),
+            BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
+        for y in ys:
+            assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts, start)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([("001", "01"), ("0", "1"), ("011", "0001")]),
+           st.integers(3, 7), st.lists(st.integers(0, 127), max_size=4))
+    def test_switching_limit_orbits(self, words, stages, picks):
+        pts = switching_limit_orbit(*words, stages=stages).points
+        for y in _riders(pts, 0, picks) + [BasePoint(BiSeq(words[0]))]:
+            assert orbit_dists(y, pts) == brute_orbit_dists(y, pts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
+           st.integers(8, 48), st.integers(1, 5),
+           st.lists(st.integers(0, 96), max_size=4))
+    def test_two_sided_windows(self, words, half, step, picks):
+        po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
+        assert po.start < 0
+        for y in _riders(po.points, po.start, picks):
+            assert (orbit_dists(y, po.points, po.start)
+                    == brute_orbit_dists(y, po.points, po.start))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(-20, 20),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_satellite_y(self, k, j, start, length, seed):
+        rng = random.Random(seed)
+        q = ExtraPoint(1, k, j % (k + 1))
+        own = [aug_iterate(q, start + t) for t in range(length)]
+        mixed = [ExtraPoint(2, k, p.j) if rng.random() < 0.3 else
+                 BasePoint(project(p)) if rng.random() < 0.3 else p
+                 for p in own]
+        for pts in (own, mixed):
+            assert orbit_dists(q, pts, start) == brute_orbit_dists(q, pts, start)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-20, 20),
+           st.integers(1, 30))
+    def test_y_on_the_ridden_orbit(self, seed, start, length):
+        rng = random.Random(seed)
+        sys3 = AugSystem(3, "standard", 64)
+        y = random_point(sys3, rng, 10)
+        pts = [aug_iterate(y, start + t) for t in range(length)]
+        assert orbit_dists(y, pts, start) == [Fraction(0)] * length
+        if isinstance(y, BasePoint):
+            i = rng.randrange(length)
+            pts[i] = BasePoint(flip_symbol(pts[i].seq, rng.randint(-9, 9)))
+            assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts,
+                                                                    start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["0", "01", "0010", "1"]), st.integers(-10, 10),
+           st.integers(1, 20), st.integers(1, 300), st.booleans(),
+           st.booleans())
+    def test_first_mismatch_beyond_the_span(self, word, start, length, far,
+                                            right, tail):
+        y = BasePoint(BiSeq(word))
+        end = start + length - 1
+        at = end + far if right else start - far
+        if tail:
+            flipped = BiSeq(word.translate(str.maketrans("01", "10")))
+            z = (assemble(y.seq, at, "", at, flipped, 0) if right
+                 else assemble(flipped, at + 1, "", at + 1, y.seq, 0))
+        else:
+            z = flip_symbol(y.seq, at)
+        pts = [BasePoint(z.shift(start + t)) for t in range(length)]
+        dists = orbit_dists(y, pts, start)
+        assert dists == brute_orbit_dists(y, pts, start)
+        assert all(0 < d <= Fraction(1, 2) ** far for d in dists)
