@@ -14,7 +14,6 @@ from nexpansive.base import (
     dyadic,
     flip_symbol,
     glue_specification,
-    least_period,
     left_tails_agree,
     periodic_orbit,
     periodic_point,

@@ -298,10 +298,6 @@ def periodic_orbit(k):
     return [p.shift(j) for j in range(k + 1)]
 
 
-def least_period(x):
-    return x.least_period()
-
-
 def assemble(left_src, lo, word, hi, right_src, right_anchor):
     """Splice three descriptions into one sequence.
 
@@ -334,24 +330,29 @@ def base_shadow(po, delta_exp):
 
     ``po`` lists points whose one-step jumps are below 2**-delta_exp, i.e.
     base_dist(po[t].shift(1), po[t+1]) < 2**-delta_exp for consecutive
-    entries. The traced point reads off each entry's symbol at index 0 and
-    extends the ends by the first entry's left tail and the last entry's
-    right tail, which keeps it inside this module's point class. Agreement
-    between neighbours propagates across the jump windows, so the returned
-    point y satisfies base_dist(y.shift(t), po[t]) <= 2**-delta_exp at
-    every index. Callers verify that bound rather than trusting it.
+    entries. That bound is checked on the window it fixes: a distance is
+    below 2**-e exactly when the two sequences agree on [-e, e], so
+    po[t] on [1 - e, e + 1] must spell po[t+1] on [-e, e]; the exact gap
+    is computed only for the error message. The traced point reads off
+    each entry's symbol at index 0 and extends the ends by the first
+    entry's left tail and the last entry's right tail, which keeps it
+    inside this module's point class. Agreement between neighbours
+    propagates across the jump windows, so the returned point y satisfies
+    base_dist(y.shift(t), po[t]) <= 2**-delta_exp at every index;
+    shadowing.shadow_pseudo_orbit checks that bound on its window too.
     """
     if delta_exp < 1:
         raise ValueError("delta_exp must be >= 1")
     if not po:
         raise ValueError("pseudo-orbit is empty")
-    bound = dyadic(delta_exp)
+    e = delta_exp
+    words = [p.window(-e, e + 2) for p in po]
     for t in range(len(po) - 1):
-        gap = base_dist(po[t].shift(1), po[t + 1])
-        if gap >= bound:
+        if words[t][1:] != words[t + 1][:-1]:
+            gap = base_dist(po[t].shift(1), po[t + 1])
             raise ValueError(
                 f"gap {gap} at index {t} is not below 2**-{delta_exp}")
-    word = "".join(p[0] for p in po)
+    word = "".join(w[e] for w in words)
     return assemble(po[0], 0, word, len(po), po[-1], len(po) - 1)
 
 

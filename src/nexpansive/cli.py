@@ -33,10 +33,11 @@ from nexpansive.expansivity import (
 from nexpansive.chains import build_chain_graph, chain_classes
 from nexpansive.chains import edges_csv as chain_edges_csv
 from nexpansive.shadowing import (
-    _shadow_with_check,
-    shadow_modulus,
-    two_sided_limit_shadow,
     limit_shadow,
+    shadow_modulus,
+    shadow_pseudo_orbit,
+    two_sided_limit_shadow,
+    verify_shadow,
 )
 from nexpansive.samples import (
     construction_sample,
@@ -49,11 +50,14 @@ from nexpansive.codec import encode, parse_fraction
 
 
 # Upper limits of the tracing sizes. At each limit, with the other flags at
-# their defaults, one run took 4-7 s and at most 110 MiB on a 2-vCPU Xeon,
-# which stays near 10 s in that host's 1.6x slow spells.
+# their defaults, one run took 1.2-4.3 s and at most 105 MiB on a 2-vCPU
+# Xeon, which stays under 10 s in that host's 1.6x slow spells.
 MAX_DELTA_EXP = 16
 MAX_LENGTH = 8000
 MAX_STAGES = 15
+# Below 8 stages the switching schedule supports fewer than the three
+# stages limit_shadow needs, whatever the words.
+MIN_STAGES = 8
 MAX_HALF = 8192
 
 
@@ -287,7 +291,7 @@ def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed)
         with _invalid_input():
             po = hop_pseudo_orbit(sys, rng, length=run.param("length"),
                                   delta_exp=run.param("delta_exp"))
-            _, chk = _shadow_with_check(po, eps)
+            chk = verify_shadow(po, shadow_pseudo_orbit(po, eps), eps)
         ok = ok and chk.ok
         worst = max(worst, chk.worst_dist)
         checks.append({"orbit": index, "ok": chk.ok,
@@ -375,7 +379,7 @@ def stable_radius(n, variant, k_max, out, config, center, eps, window):
 @main.command("limit-shadow")
 @_system_options
 @click.option("--stages", default=10, show_default=True,
-              type=click.IntRange(1, MAX_STAGES))
+              type=click.IntRange(MIN_STAGES, MAX_STAGES))
 @click.option("--word-a", default="001", show_default=True)
 @click.option("--word-b", default="01", show_default=True)
 @click.option("--thresholds", default="1/2,1/4,1/8,1/16,1/32", show_default=True)

@@ -37,12 +37,11 @@ def random_word(rng, lo, hi):
     return format(rng.getrandbits(length), f"0{length}b") if length else ""
 
 
-def random_biseq(rng, max_period=6, max_core=8, max_offset=4):
-    """A random eventually periodic sequence with a bounded description."""
-    return BiSeq(random_word(rng, 1, max_period),
-                 random_word(rng, 0, max_core),
-                 random_word(rng, 1, max_period),
-                 rng.randint(-max_offset, max_offset))
+def random_biseq(rng):
+    """A random eventually periodic sequence with a bounded description:
+    periods of 1 to 6 symbols, a core of at most 8, offset in [-4, 4]."""
+    return BiSeq(random_word(rng, 1, 6), random_word(rng, 0, 8),
+                 random_word(rng, 1, 6), rng.randint(-4, 4))
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,7 +2,11 @@
 
 Every engine here returns a point whose tracking quality has been verified
 index by index in exact arithmetic before it is handed back; the verifier
-is part of the postcondition, not an afterthought. Finite prefixes stand in
+is part of the postcondition, not an afterthought. A bound is checked on
+the window it fixes: a base distance is below 2**-e exactly when the two
+sequences agree on [-e, e], so jump and tracking bounds compare windows
+and exact distances are computed only where they are reported (failed
+checks, verify_shadow and the decay lists). Finite prefixes stand in
 for infinite data throughout: a limit statement is always checked as a
 schedule of thresholds with recorded achievement indices, and schedules are
 caller data, never invented here.
@@ -23,8 +27,10 @@ from nexpansive.space import (
     aug_iterate,
     aug_map,
     canonical_key,
+    dist_below,
     mirror_point,
     orbit_dists,
+    orbit_within,
     project,
 )
 from nexpansive.expansivity import (
@@ -108,7 +114,8 @@ class PseudoOrbit:
     bound; a bare bound delta stands for ((0, delta),), one bound on every
     jump. The window must contain time zero. The promise is checked on
     construction for every jump in the window, each against the tightest
-    entry covering its time.
+    entry covering its time, on the window that entry's bound fixes
+    (space.dist_below); the exact jump appears only in the error message.
     """
 
     points: tuple
@@ -135,11 +142,12 @@ class PseudoOrbit:
         for t in (*range(self.start, -ks[0]), *range(ks[0], self.end)):
             reach = t if t >= 0 else -t - 1
             k, bound = self.schedule[bisect_right(ks, reach) - 1]
-            gap = aug_dist(aug_map(self.at(t)), self.at(t + 1))
-            if gap >= bound:
+            image, nxt = aug_map(self.at(t)), self.at(t + 1)
+            if not dist_below(image, nxt, bound):
                 raise ValueError(
-                    f"jump {gap} at time {t} (index {t - self.start}) "
-                    f"violates bound {bound} from |t| >= {k}")
+                    f"jump {aug_dist(image, nxt)} at time {t} (index "
+                    f"{t - self.start}) violates bound {bound} from "
+                    f"|t| >= {k}")
 
     @classmethod
     def trusted(cls, points, schedule):
@@ -233,13 +241,10 @@ def shadow_pseudo_orbit(po, eps):
     pseudo-orbit sits at level m or deeper; projecting to the base costs
     at most 1/m per point, the projected run is traced by a base point
     within eps/2, and the combined error stays below eps. The result is
-    verified at every index before being returned.
+    verified at every index before being returned, on one window per run
+    of indices riding one orbit (space.orbit_within); verify_shadow gives
+    the exact worst distance.
     """
-    return _shadow_with_check(po, eps)[0]
-
-
-def _shadow_with_check(po, eps):
-    """shadow_pseudo_orbit's point with the ShadowCheck that verified it."""
     mod = shadow_modulus(eps)
     if po.delta is None:
         raise ValueError("tracing needs a uniform jump bound: a schedule "
@@ -263,10 +268,11 @@ def _shadow_with_check(po, eps):
         traced = base_shadow([project(p) for p in pts], mod.base_exp)
         result = BasePoint(traced)
     result = aug_iterate(result, -po.start)
-    check = verify_shadow(po, result, eps)
-    if not check.ok:  # pragma: no cover - the modulus arithmetic forbids this
-        raise RuntimeError(f"traced point failed its own verification: {check}")
-    return result, check
+    # the modulus arithmetic forbids a failure here
+    if not orbit_within(result, po.points, po.start, eps):  # pragma: no cover
+        raise RuntimeError("traced point failed its own verification: "
+                           f"{verify_shadow(po, result, eps)}")
+    return result
 
 
 def specification_spacing(eps):

@@ -135,7 +135,38 @@ def tag_gap(x, y):
 def aug_dist(x, y):
     if x == y:
         return Fraction(0)
-    return tag_gap(x, y) + base_dist(project(x), project(y))
+    gap = tag_gap(x, y)
+    d = base_dist(project(x), project(y))
+    return d + gap if gap else d
+
+
+def _agree_radius(r, strict):
+    """The least m with 2**-m < r (strict) or 2**-m <= r, for r = p/q > 0.
+
+    A base distance, 0 or 2**-n with n the least |j| of a mismatch, is
+    below (at most) r exactly when the two sequences agree on |j| < m.
+    Integer arithmetic gives m: 2**m > q/p exactly when 2**m > q // p,
+    and 2**m >= q/p exactly when 2**m > (q - 1) // p.
+    """
+    p, q = r.numerator, r.denominator
+    return ((q if strict else q - 1) // p).bit_length()
+
+
+def dist_below(x, y, bound):
+    """aug_dist(x, y) < bound, checked on the window the bound fixes.
+
+    The base part must stay below the residual r = bound - tag_gap(x, y),
+    which holds exactly when the projections agree on |j| < m for
+    m = _agree_radius(r, strict=True); no distance is computed.
+    """
+    if x == y:
+        return bound > 0
+    gap = tag_gap(x, y)
+    r = bound - gap if gap else bound
+    if r <= 0:
+        return False
+    m = _agree_radius(r, True)
+    return project(x).window(1 - m, m) == project(y).window(1 - m, m)
 
 
 def aug_map(x):
@@ -178,6 +209,55 @@ def orbit_dists(y, points, start=0):
             gap = tag_gap(y, points[i])
             out[i] = d + gap if gap else d
     return out
+
+
+def orbit_within(y, points, start, eps):
+    """True when every entry of orbit_dists(y, points, start) is <= eps.
+
+    At the time t = start + i with z = project(points[i]).shift(-t), the
+    entry is at most eps exactly when y.seq and z agree on |j - t| < m,
+    with m = _agree_radius(eps - tag_gap, strict=False); a residual of 0
+    needs z == y.seq and a negative one fails. A maximal run of indices
+    with the same z and m is checked on one window, its times widened by
+    m - 1 on each side. A satellite y is compared through orbit_dists.
+    """
+    if isinstance(y, ExtraPoint):
+        return all(d <= eps for d in orbit_dists(y, points, start))
+    if eps < 0:
+        return not points
+    seq = y.seq
+    m0 = _agree_radius(eps, False) if eps else None
+    run = None  # [z, m, first time, last time]
+    for i, x in enumerate(points):
+        t = start + i
+        gap = tag_gap(y, x)
+        if gap:
+            r = eps - gap
+            if r < 0:
+                return False
+            m = _agree_radius(r, False) if r else None
+        else:
+            m = m0
+        z = project(x).shift(-t)
+        if run is not None and run[0] == z and run[1] == m:
+            run[3] = t
+            continue
+        if run is not None and not _run_agrees(seq, *run):
+            return False
+        run = [z, m, t, t]
+    return run is None or _run_agrees(seq, *run)
+
+
+def _run_agrees(seq, z, m, lo, hi):
+    """Do seq and z agree on |j - t| < m for every t in [lo, hi]?
+
+    m None stands for agreement everywhere.
+    """
+    if seq == z or m == 0:
+        return True
+    if m is None:
+        return False
+    return seq.window(lo - m + 1, hi + m) == z.window(lo - m + 1, hi + m)
 
 
 def _nearest_mismatches(y, z, times):

@@ -21,7 +21,6 @@ from nexpansive.base import (
     first_mismatch_fwd,
     flip_symbol,
     glue_specification,
-    least_period,
     left_tails_agree,
     periodic_orbit,
     periodic_point,
@@ -216,7 +215,7 @@ class TestPeriodicPoints:
     def test_least_periods_and_orbits(self):
         for k in range(1, 13):
             p = periodic_point(k)
-            assert least_period(p) == k + 1 == brute_least_period(p)
+            assert p.least_period() == k + 1 == brute_least_period(p)
             assert len(set(periodic_orbit(k))) == k + 1
 
     def test_orbits_pairwise_distinct(self):
@@ -228,7 +227,7 @@ class TestPeriodicPoints:
 
     def test_least_period_rejects_aperiodic(self):
         with pytest.raises(ValueError):
-            least_period(SPIKE)
+            SPIKE.least_period()
         assert BiSeq("0011").least_period() == 4
         assert BiSeq("0101").least_period() == 2
 
@@ -305,6 +304,46 @@ class TestBaseShadow:
         po = [ZEROS, ZEROS, ONES]
         with pytest.raises(ValueError, match="index 1"):
             base_shadow(po, 3)
+
+    @pytest.mark.parametrize("e", [1, 2, 5])
+    def test_gap_exactly_at_the_bound(self, e):
+        # a flip at depth e makes the jump exactly 2**-e, which is refused;
+        # one at depth e + 1 makes it 2**-(e + 1), which passes
+        x = BiSeq("01", "100", "0", -1)
+        for sign in (1, -1):
+            at = [x, flip_symbol(x.shift(1), sign * e)]
+            with pytest.raises(ValueError, match=f"gap 1/{2 ** e} at index 0"):
+                base_shadow(at, e)
+            below = [x, flip_symbol(x.shift(1), sign * (e + 1))]
+            assert base_shadow(below, e)[0] == x[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_gap_check_matches_per_jump_oracle(self, data):
+        # a true orbit with flips at depths e - 1 .. e + 2, so jumps fall
+        # just above, exactly at and just below 2**-e
+        e = data.draw(st.integers(1, 6))
+        x = BiSeq(data.draw(words), data.draw(cores), data.draw(words),
+                  data.draw(offsets))
+        po = []
+        for t in range(data.draw(st.integers(1, 8))):
+            seq = x.shift(t)
+            for depth in data.draw(st.lists(st.integers(e - 1, e + 2),
+                                            max_size=2)):
+                seq = flip_symbol(seq, data.draw(st.sampled_from([depth,
+                                                                  -depth])))
+            po.append(seq)
+        gaps = [brute_base_dist(po[t].shift(1), po[t + 1])
+                for t in range(len(po) - 1)]
+        bad = [t for t, gap in enumerate(gaps) if gap >= dyadic(e)]
+        if bad:
+            with pytest.raises(ValueError,
+                               match=f"gap {gaps[bad[0]]} at index {bad[0]} "):
+                base_shadow(po, e)
+        else:
+            traced = base_shadow(po, e)
+            assert all(brute_base_dist(traced.shift(t), p) <= dyadic(e)
+                       for t, p in enumerate(po))
 
     def test_matches_exhaustive_search(self):
         rng = random.Random(29)

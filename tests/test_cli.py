@@ -269,7 +269,8 @@ def test_sizes_above_their_limit_exit_two(runner, tmp_path, via, command,
                                           name, limit):
     flag = f"--{name.replace('_', '-')}"
     help_text = runner.invoke(main, [command, "--help"]).output
-    assert f"1<=x<={limit}" in help_text
+    low = 8 if name == "stages" else 1
+    assert f"{low}<=x<={limit}" in help_text
     if via == "flag":
         args = [flag, str(limit + 1)]
     else:
@@ -281,3 +282,24 @@ def test_sizes_above_their_limit_exit_two(runner, tmp_path, via, command,
     assert "Traceback" not in result.output
     assert "range" in result.output
     assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_limit_shadow_stages_start_at_eight(runner, tmp_path, via):
+    # below 8 stages the switching schedule yields at most one usable
+    # stage, so 7 is refused as out of range and 8 is the least that runs
+    def args(stages):
+        if via == "flag":
+            return ["--stages", str(stages)]
+        cfg = tmp_path / f"cfg{stages}.json"
+        cfg.write_text(json.dumps({"stages": stages}))
+        return ["--config", str(cfg)]
+
+    result = runner.invoke(main, ["limit-shadow", *args(7),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "8<=x<=15" in result.output
+    assert not (tmp_path / "limit-shadow.json").exists()
+    run_ok(runner, tmp_path, ["limit-shadow", *args(8)])
+    assert load(tmp_path, "limit-shadow")["config"]["stages"] == 8

@@ -11,6 +11,7 @@ from nexpansive.space import (
     ExtraPoint,
     aug_dist,
     aug_iterate,
+    aug_map,
     mirror_point,
 )
 from nexpansive.expansivity import in_stable_set, in_unstable_set
@@ -37,6 +38,9 @@ from nexpansive.samples import (
 from oracles import brute_schedule_ok
 
 QUARTER = Fraction(1, 4)
+SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
+                   Fraction(3, 16), Fraction(2, 3), Fraction(5, 8),
+                   Fraction(19, 48), Fraction(5, 4), Fraction(9, 20))
 
 
 class TestModulus:
@@ -98,13 +102,29 @@ class TestPseudoOrbitTypes:
     @given(st.data())
     def test_validation_matches_definition(self, data):
         # a true orbit with symbol flips at small depths, so jumps take
-        # many dyadic values; schedules may repeat an index or a bound
-        word = data.draw(st.text("01", min_size=1, max_size=4))
-        x = BiSeq(word, data.draw(st.text("01", max_size=4)), "0")
+        # many dyadic values, and in half the examples satellites of levels
+        # 1-4 (on the ridden orbit when it is a tagged one), whose jumps
+        # add a tag 1/k;
+        # bounds include non-dyadic ones and sums of a tag and a dyadic,
+        # and schedules may repeat an index or a bound
+        k = data.draw(st.integers(0, 4))
+        if k:
+            x = periodic_point(k)
+        else:
+            word = data.draw(st.text("01", min_size=1, max_size=4))
+            x = BiSeq(word, data.draw(st.text("01", max_size=4)), "0")
         start = data.draw(st.integers(-6, 0))
         length = data.draw(st.integers(-start + 1, -start + 8))
+        satellites = data.draw(st.booleans())
         points = []
         for t in range(start, start + length):
+            level = data.draw(st.integers(0, 4)) if satellites else 0
+            if level:
+                phase = (t % (level + 1) if level == k
+                         else data.draw(st.integers(0, level)))
+                points.append(ExtraPoint(data.draw(st.integers(1, 2)), level,
+                                         phase))
+                continue
             seq = x.shift(t)
             for pos in data.draw(st.lists(st.integers(-6, 6), max_size=2)):
                 seq = flip_symbol(seq, pos)
@@ -112,15 +132,43 @@ class TestPseudoOrbitTypes:
         size = data.draw(st.integers(1, 3))
         ks = sorted(data.draw(st.lists(st.integers(0, 7), min_size=size,
                                        max_size=size)))
-        exps = sorted(data.draw(st.lists(st.integers(0, 7), min_size=size,
-                                         max_size=size)))
-        schedule = tuple(zip(ks, (dyadic(e) for e in exps)))
+        bounds = sorted(data.draw(st.lists(st.sampled_from(SCHEDULE_BOUNDS),
+                                           min_size=size, max_size=size)),
+                        reverse=True)
+        schedule = tuple(zip(ks, bounds))
         try:
             PseudoOrbit(points, schedule, start)
             accepted = True
         except ValueError:
             accepted = False
         assert accepted == brute_schedule_ok(points, start, schedule)
+
+    @pytest.mark.parametrize("bound", SCHEDULE_BOUNDS)
+    def test_jumps_on_either_side_of_the_bound(self, bound):
+        # jumps 2**-n and tag + 2**-n for the n just around the bound's
+        # window radius, with the mismatch on either side of index 0
+        x = BiSeq("011", "1", "0")
+        pairs = []
+        for k in (None, 1, 2, 3, 4):
+            tag = Fraction(1, k) if k else 0
+            n = next(n for n in range(64) if dyadic(n) < bound - tag) \
+                if bound > tag else 1
+            for pos in {n - 1, n, n + 1, -n + 1, -n, -n - 1}:
+                if k:
+                    pairs.append((ExtraPoint(1, k, 0),
+                                  BasePoint(flip_symbol(periodic_point(k)
+                                                        .shift(1), pos))))
+                else:
+                    pairs.append((BasePoint(x),
+                                  BasePoint(flip_symbol(x.shift(1), pos))))
+        for a, b in pairs:
+            jump = aug_dist(aug_map(a), b)
+            try:
+                PseudoOrbit((a, b), bound)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (jump < bound), (a, b, jump)
 
     def test_specification_ordering(self):
         zero = BasePoint(BiSeq("0"))

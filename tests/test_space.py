@@ -21,9 +21,11 @@ from nexpansive.space import (
     aug_iterate,
     aug_map,
     canonical_key,
+    dist_below,
     mirror_point,
     orbit_dists,
     orbit_label,
+    orbit_within,
     project,
 )
 from nexpansive.samples import (
@@ -286,3 +288,106 @@ class TestOrbitDists:
         dists = orbit_dists(y, pts, start)
         assert dists == brute_orbit_dists(y, pts, start)
         assert all(0 < d <= Fraction(1, 2) ** far for d in dists)
+
+
+# Bounds that are not powers of two, and sums of a tag 1/k and a dyadic.
+ODD_BOUNDS = (Fraction(1, 3), Fraction(3, 16), Fraction(2, 3), Fraction(5, 8),
+              Fraction(19, 48), Fraction(5, 4))
+
+
+def _bounds_around(dists, points):
+    """Every listed distance (ties), odd bounds, the tags 1/k of the
+    satellites present (a residual of 0), and 0, 1, 2 and -1/8."""
+    tags = {Fraction(1, p.k) for p in points if isinstance(p, ExtraPoint)}
+    return (set(dists) | tags | set(ODD_BOUNDS)
+            | {Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 8)})
+
+
+class TestDistBelow:
+    """dist_below(x, y, bound) against aug_dist(x, y) < bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_random_pairs(self, seed, k_hi):
+        rng = random.Random(seed)
+        sys3 = AugSystem(3, "standard", 64)
+        a, b, c = random_triple(sys3, rng, k_hi)
+        pairs = [(a, b), (b, c), (a, a), (aug_map(a), a),
+                 (a, BasePoint(project(a))) if isinstance(a, ExtraPoint)
+                 else (a, BasePoint(flip_symbol(a.seq, rng.randint(-9, 9))))]
+        for x, y in pairs:
+            d = aug_dist(x, y)
+            for bound in _bounds_around([d, d / 2, 2 * d], [x, y]):
+                assert dist_below(x, y, bound) == (d < bound), (x, y, bound)
+
+
+class TestOrbitWithin:
+    """orbit_within against all(d <= eps) over brute_orbit_dists."""
+
+    @staticmethod
+    def _agree(y, pts, start):
+        dists = brute_orbit_dists(y, pts, start)
+        for eps in _bounds_around(dists, pts):
+            want = all(d <= eps for d in dists)
+            assert orbit_within(y, pts, start, eps) == want, (y, start, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(-6, 6), st.lists(st.integers(0, 39), max_size=3))
+    def test_hop_orbits(self, delta_exp, seed, length, start, picks):
+        rng = random.Random(seed)
+        sys3 = AugSystem(3, "standard", 64)
+        pts = hop_pseudo_orbit(sys3, rng, length=length,
+                               delta_exp=delta_exp).points
+        ys = _riders(pts, start, picks) + [
+            random_point(sys3, rng, 10),
+            BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
+        for y in ys:
+            self._agree(y, pts, start)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
+           st.integers(8, 40), st.integers(1, 5),
+           st.lists(st.integers(0, 80), max_size=3))
+    def test_two_sided_windows(self, words, half, step, picks):
+        po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
+        for y in _riders(po.points, po.start, picks):
+            self._agree(y, po.points, po.start)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(-8, 8), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_satellites_on_the_ridden_orbit(self, k, start, length, seed):
+        # y rides the level-k orbit and some indices are its satellites:
+        # at eps = 1/k the residual is 0, below it negative
+        rng = random.Random(seed)
+        y = BasePoint(periodic_point(k))
+        pts = [ExtraPoint(rng.randint(1, 2), k, (start + t) % (k + 1))
+               if rng.random() < 0.4 else aug_iterate(y, start + t)
+               for t in range(length)]
+        far = BasePoint(flip_symbol(y.seq, rng.choice([-1, 1])
+                                    * rng.randint(0, 12)))
+        flipped = [BasePoint(flip_symbol(p.seq, rng.randint(-4, 4)))
+                   if isinstance(p, BasePoint) and rng.random() < 0.3 else p
+                   for p in pts]
+        for z in (y, far):
+            self._agree(z, pts, start)
+            self._agree(z, flipped, start)
+
+    def test_ties_and_zero_residual(self):
+        y = BasePoint(periodic_point(4))
+        run = [aug_iterate(y, t) for t in range(-3, 5)]
+        # one point off by a flip at depth 3 of its own window: d = 1/8
+        off = list(run)
+        off[2] = BasePoint(flip_symbol(run[2].seq, 3))
+        assert orbit_within(y, off, -3, Fraction(1, 8))
+        assert not orbit_within(y, off, -3, Fraction(1, 9))
+        sat = list(run)
+        sat[5] = ExtraPoint(1, 4, orbit_label(project(run[5]))[1])
+        assert orbit_within(y, sat, -3, Fraction(1, 4))
+        assert not orbit_within(y, sat, -3, Fraction(1, 5))
+        assert not orbit_within(BasePoint(flip_symbol(y.seq, 40)), sat, -3,
+                                Fraction(1, 4))
+        assert orbit_within(y, run, -3, Fraction(0))
+        assert not orbit_within(y, off, -3, Fraction(0))
+        assert orbit_within(y, [], 0, Fraction(-1))
