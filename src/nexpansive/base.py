@@ -78,8 +78,11 @@ class BiSeq:
         _check_word(right, "right period")
         if set(core) - _BINARY:
             raise ValueError(f"core must be a word over 0/1, got {core!r}")
-        left = _primitive(left)
-        right = _primitive(right)
+        self._settle(_primitive(left), core, _primitive(right), offset)
+
+    def _settle(self, left, core, right, offset):
+        """Canonicalize primitive periods and a 0/1 core into self; callers
+        whose words are known to qualify skip __init__'s checks."""
         # Absorb core symbols that already continue the adjacent tail,
         # rotating each period once for the whole run.
         n = 0
@@ -111,6 +114,7 @@ class BiSeq:
         self.core = core
         self.right = right
         self.offset = offset
+        return self
 
     @property
     def core_start(self):
@@ -284,12 +288,13 @@ def periodic_point(k):
     """The tagged periodic point of level k: the k zeroes, one 1 pattern.
 
     Its least period is k + 1, and distinct levels give distinct orbits
-    because each period carries exactly one 1.
+    because each period carries exactly one 1, which also makes the word
+    primitive.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     word = "0" * k + "1"
-    return BiSeq(word, "", word, 0)
+    return object.__new__(BiSeq)._settle(word, "", word, 0)
 
 
 def periodic_orbit(k):
@@ -304,10 +309,13 @@ def assemble(left_src, lo, word, hi, right_src, right_anchor):
     The result equals ``left_src`` below lo, spells ``word`` on [lo, hi),
     and equals ``right_src[i - right_anchor]`` from hi upward.  The caller
     is responsible for making the pieces consistent at the boundaries if
-    that matters; no check is done here.
+    that matters; no check is done here. The periods are rotations of the
+    sources' primitive periods, so only ``word`` is checked.
     """
     if len(word) != hi - lo:
         raise ValueError("word length does not match its window")
+    if set(word) - _BINARY:
+        raise ValueError(f"word must be a word over 0/1, got {word!r}")
     start = min(lo, left_src.offset)
     end = max(hi, right_src.core_end + right_anchor)
     core = (left_src.window(start, lo) + word
@@ -316,7 +324,7 @@ def assemble(left_src, lo, word, hi, right_src, right_anchor):
     left = left_src.window(start - p, start)
     q = len(right_src.right)
     right = right_src.window(end - right_anchor, end - right_anchor + q)
-    return BiSeq(left, core, right, start)
+    return object.__new__(BiSeq)._settle(left, core, right, start)
 
 
 def flip_symbol(x, pos):

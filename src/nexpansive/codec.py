@@ -17,7 +17,7 @@ from nexpansive.shadowing import PseudoOrbit
 
 
 def format_fraction(value):
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -75,8 +75,27 @@ def pseudo_orbit_from_json(data):
         data["start"])
 
 
+def _encode_list(value):
+    return [encode(v) for v in value]
+
+
+def _encode_dict(value):
+    return {str(k): encode(v) for k, v in value.items()}
+
+
+# Exact types only; dataclasses and subclasses go through encode's chain.
+_ENCODERS = {Fraction: format_fraction, BiSeq: biseq_to_json,
+             BasePoint: point_to_json, ExtraPoint: point_to_json,
+             AugSystem: system_to_json, list: _encode_list,
+             tuple: _encode_list, dict: _encode_dict}
+_ENCODERS.update(dict.fromkeys((str, int, bool, type(None)), lambda v: v))
+
+
 def encode(value):
     """Recursively convert a value into JSON-serializable data."""
+    encoder = _ENCODERS.get(type(value))
+    if encoder is not None:
+        return encoder(value)
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, BiSeq):
@@ -89,9 +108,9 @@ def encode(value):
         return {f.name: encode(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
+        return _encode_dict(value)
     if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
+        return _encode_list(value)
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     raise TypeError(f"cannot encode {type(value).__name__}")

@@ -15,17 +15,20 @@ whole story reduces to locating mismatches between two such sequences:
 
 Those three facts drive every membership test in this module and make the
 reported sets exact whenever the radius stays below 1/2, the separation
-scale of the base shift.
+scale of the base shift. A bound on the forward supremum is checked on the
+window it fixes, without locating any mismatch, and below 1/2 the stable
+classes of a local stable set are read off its members: every member's
+projection agrees with the center's from index 0 on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from nexpansive.base import (
     HALF,
-    BiSeq,
     dyadic,
     first_mismatch_bwd,
     first_mismatch_fwd,
@@ -36,6 +39,7 @@ from nexpansive.space import (
     AugPoint,
     BasePoint,
     ExtraPoint,
+    _agree_radius,
     aug_dist,
     aug_iterate,
     canonical_key,
@@ -60,15 +64,16 @@ def sup_forward_dist(x, y):
     """sup of d(f^t x, f^t y) over t >= 0."""
     if x == y:
         return ZERO
-    return tag_gap(x, y) + _base_sup_fwd(project(x), project(y))
+    gap, d = tag_gap(x, y), _base_sup_fwd(project(x), project(y))
+    return d + gap if gap else d
 
 
 def sup_orbit_dist(x, y):
     """sup of d(f^t x, f^t y) over all integer t."""
     if x == y:
         return ZERO
-    px, py = project(x), project(y)
-    return tag_gap(x, y) + (ZERO if px == py else ONE)
+    gap, d = tag_gap(x, y), ZERO if project(x) == project(y) else ONE
+    return d + gap if gap else d
 
 
 def limsup_forward_dist(x, y):
@@ -80,13 +85,35 @@ def limsup_forward_dist(x, y):
     """
     if x == y:
         return ZERO
-    px, py = project(x), project(y)
-    return tag_gap(x, y) + (ZERO if right_tails_agree(px, py) else ONE)
+    gap = tag_gap(x, y)
+    d = ZERO if right_tails_agree(project(x), project(y)) else ONE
+    return d + gap if gap else d
 
 
 def in_local_stable(y, x, eps):
-    """Membership of y in the local stable set of x at size eps."""
-    return sup_forward_dist(y, x) <= eps
+    """Membership of y in the local stable set of x at size eps.
+
+    sup_forward_dist(y, x) <= eps, checked on the window the bound fixes.
+    The base part must stay within r = eps - tag_gap(x, y). For 0 < r < 1
+    it does exactly when the projections agree on [1 - m, oo), with
+    m = _agree_radius(r, strict=False); past index 0 and both cores, the
+    right periods p and q decide that ray within p + q - gcd(p, q)
+    symbols (Fine and Wilf).
+    """
+    if x == y:
+        return eps >= 0
+    r = eps - tag_gap(x, y)
+    if r < 0:
+        return False
+    if r >= 1:
+        return True
+    px, py = project(x), project(y)
+    if r == 0:
+        return px == py
+    p, q = len(px.right), len(py.right)
+    hi = max(0, px.core_end, py.core_end) + p + q - math.gcd(p, q)
+    lo = 1 - _agree_radius(r, False)
+    return px.window(lo, hi) == py.window(lo, hi)
 
 
 def in_stable_set(y, x):
@@ -258,9 +285,17 @@ def lower_expansivity_falsifier(sys, radius):
         members=ball.members, distances=ball.distances)
 
 
-def _tail_extension(seq):
-    """The periodic sequence that continues seq's right tail over all time."""
-    return BiSeq(seq.right, "", seq.right, seq.core_end)
+def _tail_label(seq):
+    """orbit_label of the periodic sequence continuing seq's right tail.
+
+    That sequence repeats the right period from the core end, so it is
+    p(k, j) exactly when the period word carries a single 1.
+    """
+    word = seq.right
+    if len(word) < 2 or word.count("1") != 1:
+        return None
+    k = len(word) - 1
+    return k, (k - seq.core_end - word.index("1")) % (k + 1)
 
 
 @dataclass(frozen=True)
@@ -286,19 +321,15 @@ def _stable_candidates(sys, center, sample):
     cluster when the center is itself a satellite, and the caller's sample.
     """
     pool = {center}
-    s = project(center)
     if isinstance(center, ExtraPoint):
-        for i in range(1, sys.multiplicity(center.k) + 1):
-            pool.add(ExtraPoint(i, center.k, center.j))
-        pool.add(BasePoint(s))
+        label = center.k, center.j
     else:
-        ext = _tail_extension(s)
-        label = orbit_label(ext)
-        if label is not None:
-            k, j = label
-            for i in range(1, sys.multiplicity(k) + 1):
-                pool.add(ExtraPoint(i, k, j))
-            pool.add(BasePoint(ext))
+        label = _tail_label(center.seq)
+    if label is not None:
+        k, j = label
+        for i in range(1, sys.multiplicity(k) + 1):
+            pool.add(ExtraPoint(i, k, j))
+        pool.add(BasePoint(project(ExtraPoint(1, k, j))))
     pool.update(sample)
     return sorted(pool, key=canonical_key)
 
@@ -311,6 +342,13 @@ def stable_class_count(sys, center, eps, sample=()):
     class. The center always represents its own class, other classes take
     their least member under the canonical order. Exact for eps < 1/2 by
     the candidate analysis in _stable_candidates.
+
+    Membership is checked on the window the bound fixes, and the classes
+    are read off the members: below 1/2 every member's projection agrees
+    with the center's from index 0 on, so the base members share one
+    stable set (the center's class, or one class at the place of their
+    first when the center is a satellite) and each satellite's stable set
+    holds only itself.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
@@ -319,17 +357,16 @@ def stable_class_count(sys, center, eps, sample=()):
     sys.validate_point(center)
     pool = _stable_candidates(sys, center, sample)
     members = [y for y in pool if in_local_stable(y, center, eps)]
-    classes = [[]]
+    shared = [y for y in members if isinstance(y, BasePoint)]
+    placed = isinstance(center, BasePoint)
+    classes = [shared if placed else [center]]
     for y in members:
-        if in_stable_set(y, center):
-            classes[0].append(y)
-            continue
-        for cls in classes[1:]:
-            if in_stable_set(y, cls[0]):
-                cls.append(y)
-                break
-        else:
-            classes.append([y])
+        if isinstance(y, ExtraPoint):
+            if y != center:
+                classes.append([y])
+        elif not placed:
+            classes.append(shared)
+            placed = True
     # the pool is in canonical order, so each class lists its members in
     # order and the other classes come sorted by their least member
     return StableClassReport(
@@ -353,23 +390,20 @@ def _stable_entry_time(center, eps, multiplicity):
     if isinstance(center, ExtraPoint):
         return 0
     s = center.seq
-    ext = _tail_extension(s)
-    label = orbit_label(ext)
+    label = _tail_label(s)
     if label is None:
         return 0
-    k, _ = label
+    k, j = label
     if multiplicity(k) < 1:
         return 0
+    ext = project(ExtraPoint(1, k, j))
     if s == ext:
         return 0
     spare = eps - Fraction(1, k)
     if spare <= 0:
         return 0
     last = first_mismatch_bwd(s, ext, max(s.core_end, ext.core_end))
-    depth = 0
-    while dyadic(depth) > spare:
-        depth += 1
-    return max(0, last + depth)
+    return max(0, last + _agree_radius(spare, False))
 
 
 def local_stable_radius(sys, center, eps):

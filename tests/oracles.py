@@ -11,6 +11,7 @@ from fractions import Fraction
 from nexpansive.base import assemble, base_dist
 from nexpansive.chains import ChainGraph
 from nexpansive.space import (
+    BasePoint,
     aug_dist,
     aug_iterate,
     aug_map,
@@ -82,6 +83,37 @@ def brute_left_tails_agree(x, y):
     s0 = min(x.offset, y.offset)
     span = math.lcm(len(x.left), len(y.left))
     return all(x[i] == y[i] for i in range(s0 - span - 1, s0))
+
+
+def brute_in_stable_set(y, x):
+    """Does d(f^t y, f^t x) tend to 0? Equal points, or two base points
+    whose right tails agree symbol by symbol over one lcm of their periods."""
+    if x == y:
+        return True
+    return (isinstance(x, BasePoint) and isinstance(y, BasePoint)
+            and brute_right_tails_agree(x.seq, y.seq))
+
+
+def brute_stable_classes(center, members):
+    """(count, representatives, classes) by pairwise stable-set tests.
+
+    Class 0 holds the members in the center's stable set; each other
+    member joins the first later class whose first member shares its
+    stable set, or starts a new one. Members keep their given order.
+    """
+    classes = [[]]
+    for y in members:
+        if brute_in_stable_set(y, center):
+            classes[0].append(y)
+            continue
+        for cls in classes[1:]:
+            if brute_in_stable_set(y, cls[0]):
+                cls.append(y)
+                break
+        else:
+            classes.append([y])
+    return (len(classes), (center, *(cls[0] for cls in classes[1:])),
+            tuple(tuple(cls) for cls in classes))
 
 
 def brute_first_mismatch_fwd(x, y, start=0):

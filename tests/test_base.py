@@ -225,6 +225,13 @@ class TestPeriodicPoints:
                 assert all(periodic_point(k).shift(t) != periodic_point(m)
                            for t in range(span))
 
+    def test_fields_match_symbol_canonicalization(self):
+        for k in range(1, 40):
+            p = periodic_point(k)
+            word = "0" * k + "1"
+            assert (p.left, p.core, p.right, p.offset) == \
+                brute_canonical_fields(word, "", word, 0)
+
     def test_least_period_rejects_aperiodic(self):
         with pytest.raises(ValueError):
             SPIKE.least_period()
@@ -464,23 +471,20 @@ class TestShiftIsCanonical:
             (ref.left, ref.core, ref.right, ref.offset)
 
 
-def assemble_by_loop(left_src, lo, word, hi, right_src, right_anchor):
-    """assemble as first written, copying the core symbol by symbol."""
-    if len(word) != hi - lo:
-        raise ValueError("word length does not match its window")
+def assembly_by_loop(left_src, lo, word, hi, right_src, right_anchor):
+    """assemble's raw (left, core, right, offset), symbol by symbol."""
     start = min(lo, left_src.offset)
     end = max(hi, right_src.core_end + right_anchor)
-    syms = []
-    for i in range(start, lo):
-        syms.append(left_src[i])
-    syms.append(word)
-    for i in range(hi, end):
-        syms.append(right_src[i - right_anchor])
-    p = len(left_src.left)
-    left = left_src.window(start - p, start)
-    q = len(right_src.right)
-    right = right_src.window(end - right_anchor, end - right_anchor + q)
-    return BiSeq(left, "".join(syms), right, start)
+    core = ("".join(left_src[i] for i in range(start, lo)) + word
+            + "".join(right_src[i - right_anchor] for i in range(hi, end)))
+    p, q = len(left_src.left), len(right_src.right)
+    left = "".join(left_src[i] for i in range(start - p, start))
+    right = "".join(right_src[i - right_anchor] for i in range(end, end + q))
+    return left, core, right, start
+
+
+def fields(seq):
+    return seq.left, seq.core, seq.right, seq.offset
 
 
 class TestAssemble:
@@ -491,8 +495,23 @@ class TestAssemble:
                                  lo, word, anchor):
         a, b = BiSeq(l1, c1, r1, o1), BiSeq(l2, c2, r2, o2)
         hi = lo + len(word)
-        assert assemble(a, lo, word, hi, b, anchor) == \
-            assemble_by_loop(a, lo, word, hi, b, anchor)
+        raw = assembly_by_loop(a, lo, word, hi, b, anchor)
+        got = assemble(a, lo, word, hi, b, anchor)
+        assert got == BiSeq(*raw)
+        assert fields(got) == brute_canonical_fields(*raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words, cores, words, offsets, st.integers(-10, 10))
+    def test_flip_matches_symbol_canonicalization(self, left, core, right,
+                                                  offset, pos):
+        x = BiSeq(left, core, right, offset)
+        flipped = "1" if x[pos] == "0" else "0"
+        assert fields(flip_symbol(x, pos)) == brute_canonical_fields(
+            *assembly_by_loop(x, pos, flipped, pos + 1, x, 0))
+
+    def test_rejects_non_binary_word(self):
+        with pytest.raises(ValueError, match="word over 0/1"):
+            assemble(ZEROS, 0, "2", 1, ZEROS, 0)
 
 
 _CAPPED_CHILD = """

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexpansive.base import BiSeq, flip_symbol, periodic_orbit, periodic_point
 from nexpansive.space import (
+    AugSystem,
     BasePoint,
     ExtraPoint,
     aug_iterate,
     aug_map,
     canonical_key,
+    orbit_label,
 )
 from nexpansive.expansivity import (
     ExpansivityCertificate,
@@ -27,10 +31,13 @@ from nexpansive.expansivity import (
     sup_forward_dist,
     sup_orbit_dist,
     window_sup_dist,
+    _stable_candidates,
+    _tail_label,
 )
-from nexpansive.samples import random_point, window_probe
+from nexpansive.samples import construction_sample, random_point, window_probe
 from oracles import (
     brute_ball_members,
+    brute_stable_classes,
     brute_sup_forward,
     brute_sup_orbit,
     pair_horizon,
@@ -58,7 +65,55 @@ class TestSuprema:
                 assert sup_orbit_dist(x, y) == brute_sup_orbit(x, y)
 
 
+words = st.text(alphabet="01", min_size=1, max_size=4)
+cores = st.text(alphabet="01", min_size=0, max_size=6)
+offsets = st.integers(-5, 5)
+DEPTHS = [d for d in range(-8, 9) if d]
+EPSILONS = ([Fraction(0), Fraction(3, 16), Fraction(1, 3), Fraction(9, 20),
+             Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(5, 4),
+             Fraction(-1, 4)] + [Fraction(1, k) for k in range(2, 17)])
+
+
+@st.composite
+def stable_pairs(draw):
+    """(y, x) for in_local_stable: a tagged periodic, random or long-tail
+    base sequence under x, and under y the same sequence with flips at
+    depths +-1..+-8, a tail agreeing with it for long, or another tagged
+    periodic sequence; either side is a satellite over a tagged one."""
+    def tagged():
+        k = draw(st.integers(1, 9))
+        return periodic_point(k).shift(draw(st.integers(0, k)))
+
+    def over(seq):
+        label = orbit_label(seq)
+        if label is not None and draw(st.booleans()):
+            return ExtraPoint(draw(st.integers(1, 3)), *label)
+        return BasePoint(seq)
+
+    kind = draw(st.sampled_from(["tagged", "random", "tails"]))
+    if kind == "tails":
+        u, left, core, o = draw(words), draw(words), draw(cores), draw(offsets)
+        s = BiSeq(left, core, u, o)
+        t = BiSeq(left, core, (u * 12)[:draw(st.integers(1, 12))], o)
+    else:
+        s = tagged() if kind == "tagged" else BiSeq(
+            draw(words), draw(cores), draw(words), draw(offsets))
+        if draw(st.integers(0, 4)) == 0:
+            t = tagged()
+        else:
+            t = s
+            for d in draw(st.lists(st.sampled_from(DEPTHS), max_size=3)):
+                t = flip_symbol(t, d)
+    return over(t), over(s)
+
+
 class TestLocalStableSets:
+    @settings(max_examples=600, deadline=None)
+    @given(stable_pairs(), st.sampled_from(EPSILONS))
+    def test_window_check_matches_brute_supremum(self, pair, eps):
+        y, x = pair
+        assert in_local_stable(y, x, eps) == (brute_sup_forward(y, x) <= eps)
+
     def test_reflexive(self, sys3):
         x = BasePoint(periodic_point(4))
         assert in_local_stable(x, x, Fraction(0))
@@ -212,7 +267,46 @@ def oracle_stable_classes(sys, center, eps, universe):
     return {frozenset(c) for c in classes}
 
 
+def level_radius(point):
+    """1/k for points over a level-k tagged orbit with k >= 3, else None."""
+    label = ((point.k, point.j) if isinstance(point, ExtraPoint)
+             else orbit_label(point.seq))
+    return Fraction(1, label[0]) if label and label[0] >= 3 else None
+
+
 class TestStableClassCounts:
+    def test_classes_match_pairwise_grouping(self):
+        # the acceptance samples at criterion 05's radii and at 0; the
+        # finite expansive variant's multiplicities ignore n, so its
+        # satellites stop at level 12 to keep the sample small
+        for variant, extras_k_hi in (("standard", 50), ("finite_expansive", 12)):
+            for n in (2, 3, 5):
+                system = AugSystem(n, variant, 50)
+                sample = construction_sample(system, extras_k_hi=extras_k_hi,
+                                             orbits_k_hi=12, random_count=200,
+                                             seed=7)
+                for x in sample:
+                    level = level_radius(x)
+                    for eps in (Fraction(0), QUARTER, Fraction(1, 8),
+                                *([level] if level else [])):
+                        rep = stable_class_count(system, x, eps)
+                        members = tuple(
+                            y for y in _stable_candidates(system, x, ())
+                            if sup_forward_dist(y, x) <= eps)
+                        assert rep.members == members, (x, eps)
+                        assert (rep.count, rep.representatives, rep.classes) \
+                            == brute_stable_classes(x, members), (x, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words, cores, words, offsets, st.integers(1, 12), st.integers(0, 12))
+    def test_tail_label_matches_orbit_label(self, left, core, right, offset,
+                                            k, turn):
+        tagged = "0" * k + "1"
+        for r in (right, tagged[turn % (k + 1):] + tagged[:turn % (k + 1)]):
+            seq = BiSeq(left, core, r, offset)
+            assert _tail_label(seq) == orbit_label(
+                BiSeq(seq.right, "", seq.right, seq.core_end))
+
     def test_cluster_count_at_level(self, sys3, sys5):
         for k in range(3, 15):
             rep = stable_class_count(sys3, BasePoint(periodic_point(k)),

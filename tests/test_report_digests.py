@@ -29,6 +29,8 @@ COMMANDS = [
     "classes --n 3 --k-hi 12 --eps 1/24",
     "shadow --orbits 20 --length 100 --delta-exp 6",
     "stable-count --center periodic:7 --eps 1/7",
+    "stable-count --n 3 --center extra:1,5,1 --eps 1/4",
+    "stable-count --n 3 --center base:0,1,00001,-2 --eps 3/8",
     "stable-radius --center periodic:7 --eps 1/7 --window 8",
     "limit-shadow --stages 10",
     "two-sided --half 128",
