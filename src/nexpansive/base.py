@@ -80,9 +80,18 @@ class BiSeq:
             raise ValueError(f"core must be a word over 0/1, got {core!r}")
         self._settle(_primitive(left), core, _primitive(right), offset)
 
+    @classmethod
+    def _trusted(cls, left, core, right, offset):
+        """Build without __init__'s checks and period reductions.
+
+        Precondition, unchecked: left and right are primitive words over
+        0/1 and core is a word over 0/1. Any other input gives a
+        non-canonical instance, on which ``==`` and ``hash`` are wrong.
+        """
+        return object.__new__(cls)._settle(left, core, right, offset)
+
     def _settle(self, left, core, right, offset):
-        """Canonicalize primitive periods and a 0/1 core into self; callers
-        whose words are known to qualify skip __init__'s checks."""
+        """Canonicalize primitive periods and a 0/1 core into self."""
         # Absorb core symbols that already continue the adjacent tail,
         # rotating each period once for the whole run.
         n = 0
@@ -294,7 +303,7 @@ def periodic_point(k):
     if k < 1:
         raise ValueError("level k must be >= 1")
     word = "0" * k + "1"
-    return object.__new__(BiSeq)._settle(word, "", word, 0)
+    return BiSeq._trusted(word, "", word, 0)
 
 
 def periodic_orbit(k):
@@ -324,7 +333,7 @@ def assemble(left_src, lo, word, hi, right_src, right_anchor):
     left = left_src.window(start - p, start)
     q = len(right_src.right)
     right = right_src.window(end - right_anchor, end - right_anchor + q)
-    return object.__new__(BiSeq)._settle(left, core, right, start)
+    return BiSeq._trusted(left, core, right, start)
 
 
 def flip_symbol(x, pos):

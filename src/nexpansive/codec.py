@@ -83,7 +83,7 @@ def _encode_dict(value):
     return {str(k): encode(v) for k, v in value.items()}
 
 
-# Exact types only; dataclasses and subclasses go through encode's chain.
+# Keyed by exact type; encode falls back to dataclass fields.
 _ENCODERS = {Fraction: format_fraction, BiSeq: biseq_to_json,
              BasePoint: point_to_json, ExtraPoint: point_to_json,
              AugSystem: system_to_json, list: _encode_list,
@@ -96,21 +96,7 @@ def encode(value):
     encoder = _ENCODERS.get(type(value))
     if encoder is not None:
         return encoder(value)
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, BiSeq):
-        return biseq_to_json(value)
-    if isinstance(value, (BasePoint, ExtraPoint)):
-        return point_to_json(value)
-    if isinstance(value, AugSystem):
-        return system_to_json(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: encode(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return _encode_dict(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_list(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
     raise TypeError(f"cannot encode {type(value).__name__}")

@@ -46,6 +46,7 @@ from nexpansive.space import (
     orbit_label,
     project,
     tag_gap,
+    tail_label,
 )
 
 ONE = Fraction(1)
@@ -64,16 +65,15 @@ def sup_forward_dist(x, y):
     """sup of d(f^t x, f^t y) over t >= 0."""
     if x == y:
         return ZERO
-    gap, d = tag_gap(x, y), _base_sup_fwd(project(x), project(y))
-    return d + gap if gap else d
+    return tag_gap(x, y) + _base_sup_fwd(project(x), project(y))
 
 
 def sup_orbit_dist(x, y):
     """sup of d(f^t x, f^t y) over all integer t."""
     if x == y:
         return ZERO
-    gap, d = tag_gap(x, y), ZERO if project(x) == project(y) else ONE
-    return d + gap if gap else d
+    px, py = project(x), project(y)
+    return tag_gap(x, y) + (ZERO if px == py else ONE)
 
 
 def limsup_forward_dist(x, y):
@@ -85,9 +85,8 @@ def limsup_forward_dist(x, y):
     """
     if x == y:
         return ZERO
-    gap = tag_gap(x, y)
-    d = ZERO if right_tails_agree(project(x), project(y)) else ONE
-    return d + gap if gap else d
+    px, py = project(x), project(y)
+    return tag_gap(x, y) + (ZERO if right_tails_agree(px, py) else ONE)
 
 
 def in_local_stable(y, x, eps):
@@ -285,19 +284,6 @@ def lower_expansivity_falsifier(sys, radius):
         members=ball.members, distances=ball.distances)
 
 
-def _tail_label(seq):
-    """orbit_label of the periodic sequence continuing seq's right tail.
-
-    That sequence repeats the right period from the core end, so it is
-    p(k, j) exactly when the period word carries a single 1.
-    """
-    word = seq.right
-    if len(word) < 2 or word.count("1") != 1:
-        return None
-    k = len(word) - 1
-    return k, (k - seq.core_end - word.index("1")) % (k + 1)
-
-
 @dataclass(frozen=True)
 class StableClassReport:
     center: AugPoint
@@ -324,7 +310,7 @@ def _stable_candidates(sys, center, sample):
     if isinstance(center, ExtraPoint):
         label = center.k, center.j
     else:
-        label = _tail_label(center.seq)
+        label = tail_label(center.seq)
     if label is not None:
         k, j = label
         for i in range(1, sys.multiplicity(k) + 1):
@@ -390,7 +376,7 @@ def _stable_entry_time(center, eps, multiplicity):
     if isinstance(center, ExtraPoint):
         return 0
     s = center.seq
-    label = _tail_label(s)
+    label = tail_label(s)
     if label is None:
         return 0
     k, j = label

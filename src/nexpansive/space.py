@@ -293,6 +293,19 @@ def _nearest_mismatches(y, z, times):
     return out
 
 
+def tail_label(seq):
+    """orbit_label of the periodic sequence continuing seq's right tail.
+
+    That sequence repeats the right period from the core end, so it is
+    p(k, j) exactly when the period word carries a single 1.
+    """
+    word = seq.right
+    if len(word) < 2 or word.count("1") != 1:
+        return None
+    k = len(word) - 1
+    return k, (k - seq.core_end - word.index("1")) % (k + 1)
+
+
 def orbit_label(seq):
     """Recognize seq as p(k, j), returning (k, j), or None.
 
@@ -300,14 +313,7 @@ def orbit_label(seq):
     a single 1 per least period, so the label is read off the canonical
     period word.
     """
-    if not seq.is_periodic:
-        return None
-    word = seq.left
-    if len(word) < 2 or word.count("1") != 1:
-        return None
-    k = len(word) - 1
-    j = (k - word.index("1")) % (k + 1)
-    return k, j
+    return tail_label(seq) if seq.is_periodic else None
 
 
 def mirror_point(x):

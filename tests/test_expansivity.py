@@ -32,7 +32,6 @@ from nexpansive.expansivity import (
     sup_orbit_dist,
     window_sup_dist,
     _stable_candidates,
-    _tail_label,
 )
 from nexpansive.samples import construction_sample, random_point, window_probe
 from oracles import (
@@ -296,16 +295,6 @@ class TestStableClassCounts:
                         assert rep.members == members, (x, eps)
                         assert (rep.count, rep.representatives, rep.classes) \
                             == brute_stable_classes(x, members), (x, eps)
-
-    @settings(max_examples=300, deadline=None)
-    @given(words, cores, words, offsets, st.integers(1, 12), st.integers(0, 12))
-    def test_tail_label_matches_orbit_label(self, left, core, right, offset,
-                                            k, turn):
-        tagged = "0" * k + "1"
-        for r in (right, tagged[turn % (k + 1):] + tagged[:turn % (k + 1)]):
-            seq = BiSeq(left, core, r, offset)
-            assert _tail_label(seq) == orbit_label(
-                BiSeq(seq.right, "", seq.right, seq.core_end))
 
     def test_cluster_count_at_level(self, sys3, sys5):
         for k in range(3, 15):

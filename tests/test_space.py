@@ -27,6 +27,7 @@ from nexpansive.space import (
     orbit_label,
     orbit_within,
     project,
+    tail_label,
 )
 from nexpansive.samples import (
     drifting_two_sided_orbit,
@@ -173,6 +174,24 @@ class TestOrbitLabel:
         assert orbit_label(BiSeq("0")) is None
         assert orbit_label(BiSeq("0011")) is None
         assert orbit_label(BiSeq("0", "1", "0", 0)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01", min_size=1, max_size=4),
+           st.text(alphabet="01", max_size=6),
+           st.text(alphabet="01", min_size=1, max_size=4),
+           st.integers(-5, 5), st.integers(1, 12), st.integers(0, 12))
+    def test_tail_label_matches_tagged_orbits(self, left, core, right, offset,
+                                              k, turn):
+        # the label names the p(k, j) the right tail continues, found here
+        # by comparing the continuation with every shift of p(k)
+        tagged = "0" * k + "1"
+        for r in (right, tagged[turn % (k + 1):] + tagged[:turn % (k + 1)]):
+            seq = BiSeq(left, core, r, offset)
+            ext = BiSeq(seq.right, "", seq.right, seq.core_end)
+            n = len(ext.right) - 1
+            found = [(n, j) for j in range(n + 1)
+                     if n >= 1 and periodic_point(n).shift(j) == ext]
+            assert tail_label(seq) == (found[0] if found else None)
 
 
 class TestMirror:
