@@ -18,27 +18,15 @@ seconds.
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from nexpansive.base import BiSeq, dyadic  # noqa: E402
-from nexpansive.samples import (  # noqa: E402
-    drifting_two_sided_orbit,
-    switching_limit_orbit,
-)
-from nexpansive.shadowing import (  # noqa: E402
-    limit_shadow,
-    two_sided_limit_shadow,
-)
-from nexpansive.space import AugSystem  # noqa: E402
+from common import header, window_counts  # also puts src/ on sys.path
+from nexpansive.base import dyadic
+from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
+from nexpansive.shadowing import limit_shadow, two_sided_limit_shadow
+from nexpansive.space import AugSystem
 
 STAGES = (10, 11, 12, 13, 14)
 HALVES = (512, 1024, 2048)
@@ -77,46 +65,6 @@ def measure(name, points, call, summary):
             "window_symbols": symbols, "decay": summary(result)}
 
 
-def window_counts(call):
-    """BiSeq.window calls and built symbols of one call()."""
-    plain = BiSeq.window
-    calls = symbols = 0
-
-    def counted(self, lo, hi):
-        nonlocal calls, symbols
-        word = plain(self, lo, hi)
-        calls += 1
-        symbols += len(word)
-        return word
-
-    BiSeq.window = counted
-    try:
-        call()
-    finally:
-        BiSeq.window = plain
-    return calls, symbols
-
-
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def git(*args):
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                             text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -125,16 +73,7 @@ def main():
     args = parser.parse_args()
     cases = ([limit_case(s) for s in STAGES]
              + [two_sided_case(h) for h in HALVES])
-    report = {
-        "benchmark": "tracing_scaling",
-        "machine": {"platform": platform.platform(),
-                    "processor": cpu_model(),
-                    "cpus": os.cpu_count()},
-        "python": platform.python_version(),
-        "commit": git("rev-parse", "HEAD"),
-        "src_modified": bool(git("status", "--porcelain", "--", "src")),
-        "cases": [],
-    }
+    report = {**header("tracing_scaling"), "cases": []}
     before = {}
     if args.against:
         report["against"] = json.loads(args.against.read_text())

@@ -27,6 +27,18 @@ def dyadic(exp):
     return Fraction(1, 1 << exp)
 
 
+def agree_radius(r, strict):
+    """The least m with 2**-m < r (strict) or 2**-m <= r, for r = p/q > 0.
+
+    A base distance, 0 or 2**-n with n the least |j| of a mismatch, is
+    below (at most) r exactly when the two sequences agree on |j| < m.
+    Integer arithmetic gives m: 2**m > q/p exactly when 2**m > q // p,
+    and 2**m >= q/p exactly when 2**m > (q - 1) // p.
+    """
+    p, q = r.numerator, r.denominator
+    return ((q if strict else q - 1) // p).bit_length()
+
+
 def _check_word(word, name):
     if not word or set(word) - _BINARY:
         raise ValueError(f"{name} must be a nonempty word over 0/1, got {word!r}")
@@ -124,10 +136,6 @@ class BiSeq:
         self.right = right
         self.offset = offset
         return self
-
-    @property
-    def core_start(self):
-        return self.offset
 
     @property
     def core_end(self):

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nexpansive.base import dyadic
+from nexpansive.base import agree_radius
 from nexpansive.space import (
     ExtraPoint,
     aug_dist,
     aug_map,
     canonical_key,
+    level_gap,
     project,
 )
 
@@ -56,12 +57,10 @@ def build_chain_graph(sample, eps):
         raise ValueError("eps must be positive")
     nodes = tuple(sorted(set(sample), key=canonical_key))
     index = {v: i for i, v in enumerate(nodes)}
-    depth = -1
-    while dyadic(depth + 1) >= eps:
-        depth += 1
+    depth = agree_radius(eps, True) - 1
 
     def isolated(x):
-        return isinstance(x, ExtraPoint) and Fraction(1, x.k) >= eps
+        return isinstance(x, ExtraPoint) and level_gap(x.k) >= eps
 
     def cylinder(x):
         return project(x).window(-depth, depth + 1)

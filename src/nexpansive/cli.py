@@ -21,7 +21,8 @@ import click
 
 from nexpansive import __version__
 from nexpansive.base import BiSeq, periodic_point
-from nexpansive.space import AugSystem, BasePoint, ExtraPoint, aug_dist
+from nexpansive.space import (VARIANTS, AugSystem, BasePoint, ExtraPoint,
+                              aug_dist)
 from nexpansive.expansivity import (
     ExpansivityCertificate,
     check_expansivity,
@@ -85,10 +86,9 @@ def _parse_point(text):
 
 def _fraction_arg(text, name):
     try:
-        value = parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"bad rational for {name}: {text!r}") from None
-    return value
 
 
 _OVERRIDE_TYPES = {"integer": int, "integer range": int, "text": str,
@@ -125,9 +125,11 @@ def _invalid_input():
 
 
 class _Run:
-    """Shared per-command state: system, config echo, output directory."""
+    """Per-command state built from the invoked command's flags: system,
+    config echo, output directory; the report is named after the command."""
 
     def __init__(self, n, variant, k_max, out, config, **params):
+        self.command = click.get_current_context().command.name
         system = {"n": n, "variant": variant, "k_max": k_max}
         self.params = dict(params)
         if config is not None:
@@ -149,21 +151,22 @@ class _Run:
     def fraction(self, name):
         return _fraction_arg(self.params[name], name)
 
-    def emit(self, command, payload, ok):
+    def fractions(self, name):
+        """A comma-separated list of rationals, as a tuple."""
+        return tuple(_fraction_arg(t, name) for t in self.params[name].split(","))
+
+    def emit(self, payload, ok):
         report = {
-            "command": command,
+            "command": self.command,
             "version": __version__,
-            "config": {"system": encode(self.system),
-                       **{k: (v if isinstance(v, (int, str, bool, type(None)))
-                              else encode(v))
-                          for k, v in sorted(self.params.items())}},
+            "config": encode({"system": self.system, **self.params}),
             "ok": ok,
             "result": encode(payload),
         }
         self.out.mkdir(parents=True, exist_ok=True)
-        path = self.out / f"{command}.json"
+        path = self.out / f"{self.command}.json"
         path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        click.echo(f"{command}: {'ok' if ok else 'FAILED'} -> {path}")
+        click.echo(f"{self.command}: {'ok' if ok else 'FAILED'} -> {path}")
         if not ok:
             _sys.exit(1)
 
@@ -172,7 +175,7 @@ def _system_options(fn):
     fn = click.option("--n", default=3, show_default=True,
                       help="expansivity level of the construction")(fn)
     fn = click.option("--variant", default="standard", show_default=True,
-                      type=click.Choice(["standard", "finite_expansive"]))(fn)
+                      type=click.Choice(VARIANTS))(fn)
     fn = click.option("--k-max", default=50, show_default=True,
                       help="enumeration bound for satellite levels")(fn)
     fn = click.option("--out", default="reports", show_default=True,
@@ -192,9 +195,9 @@ def main():
 @_system_options
 @click.option("--k-hi", default=12, show_default=True,
               type=click.IntRange(min=1))
-def construct(n, variant, k_max, out, config, k_hi):
+def construct(**flags):
     """Enumerate the system and report structural counts."""
-    run = _Run(n, variant, k_max, out, config, k_hi=k_hi)
+    run = _Run(**flags)
     sys = run.system
     k_hi = run.param("k_hi")
     with _invalid_input():
@@ -208,7 +211,7 @@ def construct(n, variant, k_max, out, config, k_hi):
         "periods": {k: periodic_point(k).least_period()
                     for k in range(1, k_hi + 1)},
     }
-    run.emit("construct", payload, ok)
+    run.emit(payload, ok)
 
 
 @main.command()
@@ -219,16 +222,15 @@ def construct(n, variant, k_max, out, config, k_hi):
 @click.option("--mode", default="exact", type=click.Choice(["exact", "horizon"]),
               show_default=True)
 @click.option("--horizon", default=32, show_default=True)
-def ball(n, variant, k_max, out, config, center, radius, k_hi, mode, horizon):
+def ball(**flags):
     """Compute one dynamic ball."""
-    run = _Run(n, variant, k_max, out, config, center=center, radius=radius,
-               k_hi=k_hi, mode=mode, horizon=horizon)
+    run = _Run(**flags)
     with _invalid_input():
         report = dynamic_ball(run.system, _parse_point(run.param("center")),
                               run.fraction("radius"), k_hi=run.param("k_hi"),
                               mode=run.param("mode"),
                               horizon=run.param("horizon"))
-    run.emit("ball", report, ok=True)
+    run.emit(report, ok=True)
 
 
 @main.command()
@@ -240,10 +242,9 @@ def ball(n, variant, k_max, out, config, center, radius, k_hi, mode, horizon):
 @click.option("--seed", default=7, show_default=True)
 @click.option("--random-count", default=100, show_default=True,
               type=click.IntRange(min=0))
-def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
+def expansivity(**flags):
     """Certify the level bound and falsify the next lower one."""
-    run = _Run(n, variant, k_max, out, config, c=c, k_hi=k_hi, seed=seed,
-               random_count=random_count)
+    run = _Run(**flags)
     sys = run.system
     radius = run.fraction("c")
     k_hi = run.param("k_hi")
@@ -261,7 +262,7 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
                           for r in (radius, radius / 2, radius / 4)]
         payload["lower_bound_falsifiers"] = falsifiers
         ok = ok and all(len(f.members) == sys.n for f in falsifiers)
-    run.emit("expansivity", payload, ok)
+    run.emit(payload, ok)
 
 
 @main.command()
@@ -275,30 +276,25 @@ def expansivity(n, variant, k_max, out, config, c, k_hi, seed, random_count):
 @click.option("--length", default=100, show_default=True,
               type=click.IntRange(1, MAX_LENGTH))
 @click.option("--seed", default=7, show_default=True)
-def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed):
+def shadow(**flags):
     """Trace seeded wandering pseudo-orbits and verify the error bound."""
-    run = _Run(n, variant, k_max, out, config, eps=eps, delta_exp=delta_exp,
-               orbits=orbits, length=length, seed=seed)
-    sys = run.system
+    run = _Run(**flags)
     eps = run.fraction("eps")
     rng = random.Random(run.param("seed"))
     with _invalid_input():
         mod = shadow_modulus(eps)
-    worst = Fraction(0)
     checks = []
-    ok = True
     for index in range(run.param("orbits")):
         with _invalid_input():
-            po = hop_pseudo_orbit(sys, rng, length=run.param("length"),
+            po = hop_pseudo_orbit(run.system, rng, length=run.param("length"),
                                   delta_exp=run.param("delta_exp"))
             chk = verify_shadow(po, shadow_pseudo_orbit(po, eps), eps)
-        ok = ok and chk.ok
-        worst = max(worst, chk.worst_dist)
         checks.append({"orbit": index, "ok": chk.ok,
                        "worst_index": chk.worst_index,
                        "worst_dist": chk.worst_dist})
-    payload = {"modulus": mod, "worst_dist": worst, "checks": checks}
-    run.emit("shadow", payload, ok)
+    payload = {"modulus": mod, "checks": checks,
+               "worst_dist": max(c["worst_dist"] for c in checks)}
+    run.emit(payload, all(c["ok"] for c in checks))
 
 
 @main.command()
@@ -308,18 +304,15 @@ def shadow(n, variant, k_max, out, config, eps, delta_exp, orbits, length, seed)
               type=click.IntRange(min=1))
 @click.option("--edges-csv", default=None, help="also write the edge list here")
 @click.option("--expect-min-classes", default=None, type=int)
-def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
-            expect_min_classes):
+def classes(**flags):
     """Chain-recurrent classes of the construction sample."""
-    run = _Run(n, variant, k_max, out, config, eps=eps, k_hi=k_hi,
-               edges_csv=edges_csv, expect_min_classes=expect_min_classes)
-    sys = run.system
+    run = _Run(**flags)
     k_hi = run.param("k_hi")
     eps = (Fraction(1, 2 * k_hi) if run.param("eps") is None
            else run.fraction("eps"))
     with _invalid_input():
-        sample = construction_sample(sys, extras_k_hi=k_hi, orbits_k_hi=k_hi,
-                                     random_count=0)
+        sample = construction_sample(run.system, extras_k_hi=k_hi,
+                                     orbits_k_hi=k_hi, random_count=0)
         graph = build_chain_graph(sample, eps)
     part = chain_classes(graph)
     satellite_classes = sum(
@@ -340,20 +333,20 @@ def classes(n, variant, k_max, out, config, eps, k_hi, edges_csv,
     ok = expect is None or part.class_count() >= expect
     if not ok:
         click.echo(f"classes: {part.class_count()} classes < expected {expect}")
-    run.emit("classes", payload, ok)
+    run.emit(payload, ok)
 
 
 @main.command("stable-count")
 @_system_options
 @click.option("--center", required=True)
 @click.option("--eps", required=True)
-def stable_count(n, variant, k_max, out, config, center, eps):
+def stable_count(**flags):
     """Count stable classes inside one local stable set."""
-    run = _Run(n, variant, k_max, out, config, center=center, eps=eps)
+    run = _Run(**flags)
     with _invalid_input():
         report = stable_class_count(run.system, _parse_point(run.param("center")),
                                     run.fraction("eps"))
-    run.emit("stable-count", report, ok=True)
+    run.emit(report, ok=True)
 
 
 @main.command("stable-radius")
@@ -362,18 +355,16 @@ def stable_count(n, variant, k_max, out, config, center, eps):
 @click.option("--eps", default="1/4", show_default=True)
 @click.option("--window", default=8, show_default=True,
               type=click.IntRange(min=0))
-def stable_radius(n, variant, k_max, out, config, center, eps, window):
+def stable_radius(**flags):
     """Uniform local-stable radius along the orbit, verified over a window."""
-    run = _Run(n, variant, k_max, out, config, center=center, eps=eps,
-               window=window)
-    point = _parse_point(run.param("center"))
+    run = _Run(**flags)
     with _invalid_input():
         radius, failures = orbit_stable_inclusion_failures(
-            run.system, point, run.fraction("eps"),
+            run.system, _parse_point(run.param("center")), run.fraction("eps"),
             window=run.param("window"))
     payload = {"radius": radius, "window": run.param("window"),
                "failures": failures}
-    run.emit("stable-radius", payload, ok=not failures)
+    run.emit(payload, ok=not failures)
 
 
 @main.command("limit-shadow")
@@ -383,19 +374,15 @@ def stable_radius(n, variant, k_max, out, config, center, eps, window):
 @click.option("--word-a", default="001", show_default=True)
 @click.option("--word-b", default="01", show_default=True)
 @click.option("--thresholds", default="1/2,1/4,1/8,1/16,1/32", show_default=True)
-def limit_shadow_cmd(n, variant, k_max, out, config, stages, word_a, word_b,
-                     thresholds):
+def limit_shadow_cmd(**flags):
     """Limit-trace the switching pseudo-orbit and report decay indices."""
-    run = _Run(n, variant, k_max, out, config, stages=stages, word_a=word_a,
-               word_b=word_b, thresholds=thresholds)
-    ths = tuple(_fraction_arg(t, "thresholds")
-                for t in run.param("thresholds").split(","))
+    run = _Run(**flags)
     with _invalid_input():
         lpo = switching_limit_orbit(run.param("word_a"), run.param("word_b"),
                                     stages=run.param("stages"))
-        report = limit_shadow(run.system, lpo, thresholds=ths)
-    run.emit("limit-shadow", report, ok=all(i is not None
-                                            for _, i in report.decay))
+        report = limit_shadow(run.system, lpo,
+                              thresholds=run.fractions("thresholds"))
+    run.emit(report, ok=True)
 
 
 @main.command("two-sided")
@@ -405,19 +392,16 @@ def limit_shadow_cmd(n, variant, k_max, out, config, stages, word_a, word_b,
 @click.option("--past-word", default="001", show_default=True)
 @click.option("--future-word", default="0001", show_default=True)
 @click.option("--thresholds", default="1/2,1/4,1/8,1/16", show_default=True)
-def two_sided(n, variant, k_max, out, config, half, past_word, future_word,
-              thresholds):
+def two_sided(**flags):
     """Two-sided limit trace of a drifting pseudo-orbit."""
-    run = _Run(n, variant, k_max, out, config, half=half, past_word=past_word,
-               future_word=future_word, thresholds=thresholds)
-    ths = tuple(_fraction_arg(t, "thresholds")
-                for t in run.param("thresholds").split(","))
+    run = _Run(**flags)
     with _invalid_input():
         tslpo = drifting_two_sided_orbit(run.param("past_word"),
                                          run.param("future_word"),
                                          half=run.param("half"))
-        report = two_sided_limit_shadow(run.system, tslpo, thresholds=ths)
-    run.emit("two-sided", report, ok=True)
+        report = two_sided_limit_shadow(
+            run.system, tslpo, thresholds=run.fractions("thresholds"))
+    run.emit(report, ok=True)
 
 
 @main.command("metric-axioms")
@@ -426,22 +410,20 @@ def two_sided(n, variant, k_max, out, config, half, past_word, future_word,
               type=click.IntRange(min=1))
 @click.option("--seed", default=7, show_default=True)
 @click.option("--k-hi", default=None, type=click.IntRange(min=1))
-def metric_axioms(n, variant, k_max, out, config, trials, seed, k_hi):
+def metric_axioms(**flags):
     """Exact symmetry and triangle inequality over seeded random triples."""
-    run = _Run(n, variant, k_max, out, config, trials=trials, seed=seed,
-               k_hi=k_hi)
-    sys = run.system
+    run = _Run(**flags)
     rng = random.Random(run.param("seed"))
     violations = []
     for index in range(run.param("trials")):
-        a, b, c = random_triple(sys, rng, run.param("k_hi"))
+        a, b, c = random_triple(run.system, rng, run.param("k_hi"))
         ab, bc, ac = aug_dist(a, b), aug_dist(b, c), aug_dist(a, c)
         if ab != aug_dist(b, a) or ac > ab + bc:
             violations.append({"trial": index, "points": [a, b, c]})
             if len(violations) >= 10:
                 break
     payload = {"trials": run.param("trials"), "violations": violations}
-    run.emit("metric-axioms", payload, ok=not violations)
+    run.emit(payload, ok=not violations)
 
 
 if __name__ == "__main__":

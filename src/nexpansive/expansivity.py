@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from nexpansive.base import (
     HALF,
+    agree_radius,
     dyadic,
     first_mismatch_bwd,
     first_mismatch_fwd,
@@ -39,10 +40,10 @@ from nexpansive.space import (
     AugPoint,
     BasePoint,
     ExtraPoint,
-    _agree_radius,
     aug_dist,
     aug_iterate,
     canonical_key,
+    level_gap,
     orbit_label,
     project,
     tag_gap,
@@ -95,7 +96,7 @@ def in_local_stable(y, x, eps):
     sup_forward_dist(y, x) <= eps, checked on the window the bound fixes.
     The base part must stay within r = eps - tag_gap(x, y). For 0 < r < 1
     it does exactly when the projections agree on [1 - m, oo), with
-    m = _agree_radius(r, strict=False); past index 0 and both cores, the
+    m = agree_radius(r, strict=False); past index 0 and both cores, the
     right periods p and q decide that ray within p + q - gcd(p, q)
     symbols (Fine and Wilf).
     """
@@ -111,7 +112,7 @@ def in_local_stable(y, x, eps):
         return px == py
     p, q = len(px.right), len(py.right)
     hi = max(0, px.core_end, py.core_end) + p + q - math.gcd(p, q)
-    lo = 1 - _agree_radius(r, False)
+    lo = 1 - agree_radius(r, False)
     return px.window(lo, hi) == py.window(lo, hi)
 
 
@@ -159,21 +160,18 @@ def _exact_ball_members(sys, center, radius):
     periodic orbit, plus that base point itself, all at distance 1/k.
     """
     members = {center: ZERO}
-    if isinstance(center, ExtraPoint):
-        if Fraction(1, center.k) <= radius:
-            gap = Fraction(1, center.k)
-            for i in range(1, sys.multiplicity(center.k) + 1):
-                members.setdefault(ExtraPoint(i, center.k, center.j), gap)
-            members[BasePoint(project(center))] = gap
-    else:
-        label = orbit_label(center.seq)
-        if label is not None:
-            k, j = label
-            if Fraction(1, k) <= radius:
-                gap = Fraction(1, k)
-                for i in range(1, sys.multiplicity(k) + 1):
-                    members[ExtraPoint(i, k, j)] = gap
+    label = ((center.k, center.j) if isinstance(center, ExtraPoint)
+             else orbit_label(center.seq))
+    if label is not None and level_gap(label[0]) <= radius:
+        for y in _cluster(sys, *label):
+            members.setdefault(y, level_gap(label[0]))
     return members
+
+
+def _cluster(sys, k, j):
+    """The satellite copies over p(k, j), then the base point p(k, j)."""
+    return [*(ExtraPoint(i, k, j) for i in range(1, sys.multiplicity(k) + 1)),
+            BasePoint(project(ExtraPoint(1, k, j)))]
 
 
 def window_sup_dist(x, y, horizon):
@@ -278,7 +276,7 @@ def lower_expansivity_falsifier(sys, radius):
         raise ValueError("radius must be positive")
     k = max(3, int(1 / radius) + 1)
     ball = dynamic_ball(sys, BasePoint(project(ExtraPoint(1, k, 0))),
-                        Fraction(1, k))
+                        level_gap(k))
     return ExpansivityFalsifier(
         bound=sys.n - 1, radius=radius, center=ball.center,
         members=ball.members, distances=ball.distances)
@@ -307,15 +305,10 @@ def _stable_candidates(sys, center, sample):
     cluster when the center is itself a satellite, and the caller's sample.
     """
     pool = {center}
-    if isinstance(center, ExtraPoint):
-        label = center.k, center.j
-    else:
-        label = tail_label(center.seq)
+    label = ((center.k, center.j) if isinstance(center, ExtraPoint)
+             else tail_label(center.seq))
     if label is not None:
-        k, j = label
-        for i in range(1, sys.multiplicity(k) + 1):
-            pool.add(ExtraPoint(i, k, j))
-        pool.add(BasePoint(project(ExtraPoint(1, k, j))))
+        pool.update(_cluster(sys, *label))
     pool.update(sample)
     return sorted(pool, key=canonical_key)
 
@@ -385,11 +378,11 @@ def _stable_entry_time(center, eps, multiplicity):
     ext = project(ExtraPoint(1, k, j))
     if s == ext:
         return 0
-    spare = eps - Fraction(1, k)
+    spare = eps - level_gap(k)
     if spare <= 0:
         return 0
     last = first_mismatch_bwd(s, ext, max(s.core_end, ext.core_end))
-    return max(0, last + _agree_radius(spare, False))
+    return max(0, last + agree_radius(spare, False))
 
 
 def local_stable_radius(sys, center, eps):

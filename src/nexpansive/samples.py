@@ -98,11 +98,6 @@ def construction_sample(sys, extras_k_hi=50, orbits_k_hi=12, random_count=200,
     return [unique[key] for key in sorted(unique)]
 
 
-def _splice_future(seq, target, cut):
-    """Sequence equal to seq below cut and to target from cut on."""
-    return assemble(seq, cut, "", cut, target, 0)
-
-
 def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
     """A pseudo-orbit with jumps below 2**-delta_exp that really wanders.
 
@@ -143,7 +138,8 @@ def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
             elif roll < 0.5:
                 k2, j2 = fresh_level()
                 target = periodic_point(k2).shift(j2)
-                nxt = BasePoint(_splice_future(nxt.seq, target, delta_exp + 1))
+                cut = delta_exp + 1
+                nxt = BasePoint(assemble(nxt.seq, cut, "", cut, target, 0))
             elif roll < 0.6 and label is None:
                 tail = BiSeq(nxt.seq.right, "", nxt.seq.right, nxt.seq.core_end)
                 if aug_dist(BasePoint(tail), nxt) < bound:
@@ -163,13 +159,10 @@ def piecewise_periodic(boundaries, seqs):
         raise ValueError("need one sequence per region")
     if any(a >= b for a, b in zip(boundaries, boundaries[1:])):
         raise ValueError("boundaries must increase")
-    first, last = boundaries[0], boundaries[-1]
-    chunks = []
-    for i in range(len(boundaries) - 1):
-        chunks.append(seqs[i + 1].window(boundaries[i], boundaries[i + 1]))
-    left = seqs[0].window(first - len(seqs[0].left), first)
-    right = seqs[-1].window(last, last + len(seqs[-1].right))
-    return BiSeq(left, "".join(chunks), right, first)
+    chunks = [seq.window(a, b)
+              for a, b, seq in zip(boundaries, boundaries[1:], seqs[1:])]
+    return assemble(seqs[0], boundaries[0], "".join(chunks), boundaries[-1],
+                    seqs[-1], 0)
 
 
 def switching_limit_orbit(word_a="001", word_b="01", stages=10):
@@ -198,16 +191,10 @@ def switching_limit_orbit(word_a="001", word_b="01", stages=10):
             carriers[region] = piecewise_periodic(cuts[:upto], pats[:upto + 1])
         return carriers[region]
 
-    def region_of(t):
-        s = 0
-        while s < horizon and t >= cuts[s]:
-            s += 1
-        return s
-
     length = 2 ** stages
     pts = []
     for t in range(length):
-        s = region_of(t)
+        s = max(t.bit_length() - 1, 0)  # region s: 2**s <= t < 2**(s+1)
         point = carrier(s).shift(t)
         if s >= 2 and (t - 2 ** s) % max(4, 2 ** (s - 2)) == 0:
             point = flip_symbol(point, s + 3)

@@ -18,7 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nexpansive.base import HALF, base_shadow, dyadic, glue_specification
+from nexpansive.base import (HALF, agree_radius, base_shadow, dyadic,
+                             glue_specification)
 from nexpansive.space import (
     AugPoint,
     BasePoint,
@@ -62,8 +63,9 @@ class IsolationError(ValueError):
     distance, so the requested specification or gluing does not exist."""
 
 
-class DecayThresholdError(RuntimeError):
-    """No candidate point achieved every requested decay threshold."""
+class DecayThresholdError(ValueError):
+    """No candidate point achieved every requested decay threshold; the
+    traced window is too short for the smallest threshold."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,7 @@ class ShadowModulus:
 def shadow_modulus(eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = 1
-    while dyadic(n) > eps / 2:
-        n += 1
+    n = max(1, agree_radius(eps / 2, False))
     need = min(eps / 2, dyadic(n) / 3)
     m = int(1 / need) + 1
     return ShadowModulus(eps=eps, base_exp=n, base_eps=dyadic(n), m=m)
@@ -279,10 +279,7 @@ def specification_spacing(eps):
     """Interval spacing under which specifications are traced within eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    h = 0
-    while dyadic(h) > eps:
-        h += 1
-    return 2 * h + 1
+    return 2 * agree_radius(eps, False) + 1
 
 
 def shadow_specification(spec, eps):
@@ -408,20 +405,17 @@ def limit_shadow(sys, lpo, thresholds=None):
     candidates = [aug_iterate(r, -stab) for r in reps]
     if thresholds is None:
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
-    chosen = None
-    chosen_decay = None
     for cand in candidates:
         dists = orbit_dists(cand, pts)
-        decay = [(th, _decay_index(dists, th)) for th in thresholds]
+        decay = tuple((th, _decay_index(dists, th)) for th in thresholds)
         if all(idx is not None for _, idx in decay):
-            chosen, chosen_decay = cand, decay
             break
-    if chosen is None:
+    else:
         raise DecayThresholdError(
             f"none of {len(candidates)} candidates decays through "
             f"{[str(t) for t in thresholds]}")
     return LimitShadowReport(
-        point=chosen, decay=tuple(chosen_decay), stages=stage_reports,
+        point=cand, decay=decay, stages=stage_reports,
         stabilization=stab,
         candidates=tuple(canonical_key(c) for c in candidates))
 
@@ -506,11 +500,9 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                 "below their isolation distance")
         final = p1
     else:
-        eps1 = local_stable_radius(sys, past_report.point, AMBIENT)
-        eps2 = local_stable_radius(sys, p2, AMBIENT)
-        eps = min(eps1, eps2)
-        mod = shadow_modulus(eps)
-        delta = mod.delta
+        eps = min(local_stable_radius(sys, past_report.point, AMBIENT),
+                  local_stable_radius(sys, p2, AMBIENT))
+        delta = shadow_modulus(eps).delta
         glue_eps = delta / 4
         spacing = specification_spacing(glue_eps)
         past_d, fut_d = _tail_dists(tslpo, p1, p2)

@@ -22,12 +22,14 @@ validates or enumerates points against that choice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from nexpansive.base import (
     BiSeq,
     _diff_bits,
+    agree_radius,
     base_dist,
     dyadic,
     first_mismatch_bwd,
@@ -119,16 +121,22 @@ def project(x):
     return _PROJECTIONS[key]
 
 
+@functools.lru_cache(maxsize=None)
+def level_gap(k):
+    """1/k, the distance of a level-k satellite from the orbit it shadows."""
+    return Fraction(1, k)
+
+
 def tag_gap(x, y):
     """The location-independent part of the metric for a distinct pair."""
     if isinstance(x, ExtraPoint) and isinstance(y, ExtraPoint):
         if (x.k, x.j) == (y.k, y.j):
-            return Fraction(1, x.k)
-        return Fraction(1, x.k) + Fraction(1, y.k)
+            return level_gap(x.k)
+        return level_gap(x.k) + level_gap(y.k)
     if isinstance(x, ExtraPoint):
-        return Fraction(1, x.k)
+        return level_gap(x.k)
     if isinstance(y, ExtraPoint):
-        return Fraction(1, y.k)
+        return level_gap(y.k)
     return _ZERO
 
 
@@ -140,24 +148,12 @@ def aug_dist(x, y):
     return d + gap if gap else d
 
 
-def _agree_radius(r, strict):
-    """The least m with 2**-m < r (strict) or 2**-m <= r, for r = p/q > 0.
-
-    A base distance, 0 or 2**-n with n the least |j| of a mismatch, is
-    below (at most) r exactly when the two sequences agree on |j| < m.
-    Integer arithmetic gives m: 2**m > q/p exactly when 2**m > q // p,
-    and 2**m >= q/p exactly when 2**m > (q - 1) // p.
-    """
-    p, q = r.numerator, r.denominator
-    return ((q if strict else q - 1) // p).bit_length()
-
-
 def dist_below(x, y, bound):
     """aug_dist(x, y) < bound, checked on the window the bound fixes.
 
     The base part must stay below the residual r = bound - tag_gap(x, y),
     which holds exactly when the projections agree on |j| < m for
-    m = _agree_radius(r, strict=True); no distance is computed.
+    m = agree_radius(r, strict=True); no distance is computed.
     """
     if x == y:
         return bound > 0
@@ -165,7 +161,7 @@ def dist_below(x, y, bound):
     r = bound - gap if gap else bound
     if r <= 0:
         return False
-    m = _agree_radius(r, True)
+    m = agree_radius(r, True)
     return project(x).window(1 - m, m) == project(y).window(1 - m, m)
 
 
@@ -216,7 +212,7 @@ def orbit_within(y, points, start, eps):
 
     At the time t = start + i with z = project(points[i]).shift(-t), the
     entry is at most eps exactly when y.seq and z agree on |j - t| < m,
-    with m = _agree_radius(eps - tag_gap, strict=False); a residual of 0
+    with m = agree_radius(eps - tag_gap, strict=False); a residual of 0
     needs z == y.seq and a negative one fails. A maximal run of indices
     with the same z and m is checked on one window, its times widened by
     m - 1 on each side. A satellite y is compared through orbit_dists.
@@ -226,7 +222,7 @@ def orbit_within(y, points, start, eps):
     if eps < 0:
         return not points
     seq = y.seq
-    m0 = _agree_radius(eps, False) if eps else None
+    m0 = agree_radius(eps, False) if eps else None
     run = None  # [z, m, first time, last time]
     for i, x in enumerate(points):
         t = start + i
@@ -235,7 +231,7 @@ def orbit_within(y, points, start, eps):
             r = eps - gap
             if r < 0:
                 return False
-            m = _agree_radius(r, False) if r else None
+            m = agree_radius(r, False) if r else None
         else:
             m = m0
         z = project(x).shift(-t)

@@ -269,3 +269,30 @@ def brute_schedule_ok(points, start, schedule):
             if (t >= k or t <= -k - 1) and jump >= bound:
                 return False
     return True
+
+
+def loop_chain_depth(eps):
+    """The least integer depth >= -1 with 2**-(depth + 1) < eps, by search
+    (the cylinder depth of the chain graph)."""
+    depth = -1
+    while Fraction(1, 2) ** (depth + 1) >= eps:
+        depth += 1
+    return depth
+
+
+def loop_modulus_exp(eps):
+    """The least n >= 1 with 2**-n <= eps / 2, by search (the base
+    exponent of the shadow modulus)."""
+    n = 1
+    while Fraction(1, 2) ** n > eps / 2:
+        n += 1
+    return n
+
+
+def loop_spacing_radius(eps):
+    """The least h >= 0 with 2**-h <= eps, by search (the half-width of
+    the specification spacing 2h + 1)."""
+    h = 0
+    while Fraction(1, 2) ** h > eps:
+        h += 1
+    return h

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import nexpansive
 from nexpansive.base import (
     BiSeq,
+    agree_radius,
     assemble,
     base_dist,
     base_shadow,
@@ -35,6 +36,9 @@ from oracles import (
     brute_left_tails_agree,
     brute_right_tails_agree,
     brute_shadow_search,
+    loop_chain_depth,
+    loop_modulus_exp,
+    loop_spacing_radius,
 )
 
 ZEROS = BiSeq("0")
@@ -512,6 +516,22 @@ class TestAssemble:
     def test_rejects_non_binary_word(self):
         with pytest.raises(ValueError, match="word over 0/1"):
             assemble(ZEROS, 0, "2", 1, ZEROS, 0)
+
+
+positive_rationals = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda e: Fraction(2) ** e, st.integers(-40, 20)),
+    st.builds(lambda e, s: Fraction(2) ** e * s, st.integers(-30, 10),
+              st.sampled_from([Fraction(999, 1000), Fraction(1001, 1000)])))
+
+
+class TestAgreeRadius:
+    @settings(max_examples=1000, deadline=None)
+    @given(positive_rationals)
+    def test_matches_search_loops(self, r):
+        assert agree_radius(r, True) - 1 == loop_chain_depth(r)
+        assert max(1, agree_radius(r / 2, False)) == loop_modulus_exp(r)
+        assert agree_radius(r, False) == loop_spacing_radius(r)
 
 
 _CAPPED_CHILD = """

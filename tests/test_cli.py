@@ -182,6 +182,7 @@ def test_config_overrides_flags(runner, tmp_path):
     ["limit-shadow", "--thresholds", "0/1"],
     ["limit-shadow", "--thresholds", "-1/2"],
     ["two-sided", "--thresholds", "0/1"],
+    ["two-sided", "--half", "64", "--thresholds", "1/2,1/1099511627776"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])

@@ -33,6 +33,7 @@ from nexpansive.shadowing import (
 from nexpansive.samples import (
     drifting_two_sided_orbit,
     hop_pseudo_orbit,
+    piecewise_periodic,
     switching_limit_orbit,
 )
 from oracles import brute_schedule_ok
@@ -267,6 +268,33 @@ class TestSpecificationShadowing:
                              (BasePoint(BiSeq("0")), BasePoint(BiSeq("1"))))
         with pytest.raises(ScheduleError):
             shadow_specification(spec, Fraction(1, 8))
+
+
+class TestPiecewisePeriodic:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=5, unique=True),
+           st.lists(st.tuples(st.text(alphabet="01", min_size=1, max_size=5),
+                              st.integers(-6, 6)), min_size=6, max_size=6))
+    def test_matches_direct_construction(self, boundaries, patterns):
+        boundaries = sorted(boundaries)
+        seqs = [BiSeq(w).shift(j) for w, j in patterns[:len(boundaries) + 1]]
+
+        def direct(boundaries, seqs):
+            """The construction through BiSeq(left, core, right, first)."""
+            first, last = boundaries[0], boundaries[-1]
+            chunks = [seqs[i + 1].window(boundaries[i], boundaries[i + 1])
+                      for i in range(len(boundaries) - 1)]
+            left = seqs[0].window(first - len(seqs[0].left), first)
+            right = seqs[-1].window(last, last + len(seqs[-1].right))
+            return BiSeq(left, "".join(chunks), right, first)
+
+        got = piecewise_periodic(boundaries, seqs)
+        want = direct(boundaries, seqs)
+        assert (got.left, got.core, got.right, got.offset) == (
+            want.left, want.core, want.right, want.offset)
+        for t in range(boundaries[0] - 8, boundaries[-1] + 8):
+            region = sum(1 for b in boundaries if b <= t)
+            assert got[t] == seqs[region][t]
 
 
 class TestLimitShadowing:
