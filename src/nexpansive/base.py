@@ -267,23 +267,65 @@ def first_mismatch_bwd(x, y, start=-1):
     return None
 
 
-_ONE = Fraction(1)
+def mismatch_radius(x, y):
+    """The least |i| with x[i] != y[i], or None when x == y.
+
+    One outward scan: a probe compares x and y on [-_PROBE, _PROBE], and
+    each later round doubles the radius and compares only the two new
+    stretches; the nearest mismatch is read off the XOR of the words that
+    differ. Past the probe each side stops at its cap, as in
+    first_mismatch_fwd and _bwd: beyond max(0, both core ends) the right
+    periods p and q decide the ray within p + q - gcd(p, q) symbols (Fine
+    and Wilf), and below min(0, both offsets) the left periods do the
+    same. A mismatch at distance at most r therefore lies in the capped
+    window, and the cost grows with the distance to the nearer mismatch,
+    not the farther one.
+    """
+    if x == y:
+        return None
+    if x[0] != y[0]:
+        return 0
+    r = _PROBE
+    xs, ys = x.window(-r, r + 1), y.window(-r, r + 1)
+    if xs != ys:
+        # bit i of the XOR stands for index r - i; index 0 agrees
+        mask = _diff_bits(xs, ys)
+        ahead, behind = mask & ((1 << r) - 1), mask >> r
+        if not behind:
+            return r + 1 - ahead.bit_length()
+        back = (behind & -behind).bit_length() - 1
+        return min(back, r + 1 - ahead.bit_length()) if ahead else back
+    # the last index each side must read; a cap inside the probe is done
+    p, q = len(x.right), len(y.right)
+    right = max(r, max(0, x.core_end, y.core_end) + p + q - math.gcd(p, q) - 1)
+    p, q = len(x.left), len(y.left)
+    left = min(-r, min(0, x.offset, y.offset) - p - q + math.gcd(p, q))
+    lo, hi = -r, r  # x and y agree on [lo, hi]
+    while lo > left or hi < right:
+        r *= 2
+        a, b = max(-r, left), min(r, right)
+        gaps = []
+        xs, ys = x.window(hi + 1, b + 1), y.window(hi + 1, b + 1)
+        if xs != ys:  # bit i stands for index b - i
+            gaps.append(b + 1 - _diff_bits(xs, ys).bit_length())
+        xs, ys = x.window(a, lo), y.window(a, lo)
+        if xs != ys:  # bit i stands for index lo - 1 - i
+            bits = _diff_bits(xs, ys)
+            gaps.append((bits & -bits).bit_length() - lo)
+        if gaps:
+            return min(gaps)
+        lo, hi = a, b
+    return None
 
 
 def base_dist(x, y):
-    """Shift metric: 2**-m where m is the least |i| with x[i] != y[i]."""
-    if x == y:
-        return Fraction(0)
-    if x[0] != y[0]:
-        return _ONE
-    candidates = []
-    r = first_mismatch_fwd(x, y, 0)
-    if r is not None:
-        candidates.append(r)
-    l = first_mismatch_bwd(x, y, -1)
-    if l is not None:
-        candidates.append(-l)
-    return dyadic(min(candidates))
+    """Shift metric: 2**-m with m = mismatch_radius(x, y), 0 when x == y.
+
+    The scan stops at the nearest mismatch, so the cost grows with m and
+    the descriptions, not with the distance to the farther mismatch.
+    """
+    m = mismatch_radius(x, y)
+    return Fraction(0) if m is None else dyadic(m)
 
 
 def right_tails_agree(x, y):

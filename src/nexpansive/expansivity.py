@@ -46,7 +46,9 @@ from nexpansive.space import (
     level_gap,
     orbit_label,
     project,
+    residual_radius,
     tag_gap,
+    tag_levels,
     tail_label,
 )
 
@@ -94,26 +96,24 @@ def in_local_stable(y, x, eps):
     """Membership of y in the local stable set of x at size eps.
 
     sup_forward_dist(y, x) <= eps, checked on the window the bound fixes.
-    The base part must stay within r = eps - tag_gap(x, y). For 0 < r < 1
-    it does exactly when the projections agree on [1 - m, oo), with
-    m = agree_radius(r, strict=False); past index 0 and both cores, the
-    right periods p and q decide that ray within p + q - gcd(p, q)
-    symbols (Fine and Wilf).
+    The base part must stay within r = eps - tag_gap(x, y), and
+    residual_radius reads the rule for r off its table: r < 0 never, r >= 1
+    always, r == 0 only equal projections, and otherwise agreement on
+    [1 - m, oo) with m = agree_radius(r, strict=False). Past index 0 and
+    both cores, the right periods p and q decide that ray within
+    p + q - gcd(p, q) symbols (Fine and Wilf).
     """
     if x == y:
         return eps >= 0
-    r = eps - tag_gap(x, y)
-    if r < 0:
-        return False
-    if r >= 1:
-        return True
+    m = residual_radius(eps, *tag_levels(x, y), False)
+    if m is None or m == 0:
+        return m == 0
     px, py = project(x), project(y)
-    if r == 0:
+    if m < 0:
         return px == py
     p, q = len(px.right), len(py.right)
     hi = max(0, px.core_end, py.core_end) + p + q - math.gcd(p, q)
-    lo = 1 - agree_radius(r, False)
-    return px.window(lo, hi) == py.window(lo, hi)
+    return px.window(1 - m, hi) == py.window(1 - m, hi)
 
 
 def in_stable_set(y, x):

@@ -455,6 +455,16 @@ def _tail_dists(tslpo, past_point, future_point):
     return past[::-1], future
 
 
+def _trace_half(sys, lpo, thresholds, side):
+    """limit_shadow of one half, naming the half when it misses a threshold."""
+    try:
+        return limit_shadow(sys, lpo, thresholds=thresholds)
+    except DecayThresholdError as exc:
+        raise DecayThresholdError(
+            f"{side} tail does not reach every threshold within its "
+            f"{len(lpo.points) - 1} steps: {exc}") from None
+
+
 def _tail_floor(idx, side, bound):
     if idx is None:
         raise ScheduleError(
@@ -483,12 +493,12 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     must be positive.
     """
     _check_thresholds(thresholds)
-    past_report = limit_shadow(sys, _mirror_limit_orbit(tslpo),
-                               thresholds=thresholds)
+    past_report = _trace_half(sys, _mirror_limit_orbit(tslpo), thresholds,
+                              "past")
     # the jumps of the future half were checked against this schedule
     future_half = PseudoOrbit.trusted(tslpo.points[-tslpo.start:],
                                       tslpo.schedule)
-    future_report = limit_shadow(sys, future_half, thresholds=thresholds)
+    future_report = _trace_half(sys, future_half, thresholds, "future")
     p1 = mirror_point(past_report.point)
     p2 = future_report.point
     eps = delta = glue_eps = None

@@ -30,10 +30,10 @@ from nexpansive.base import (
     BiSeq,
     _diff_bits,
     agree_radius,
-    base_dist,
     dyadic,
     first_mismatch_bwd,
     first_mismatch_fwd,
+    mismatch_radius,
     periodic_point,
 )
 
@@ -122,46 +122,87 @@ def project(x):
 
 
 @functools.lru_cache(maxsize=None)
-def level_gap(k):
-    """1/k, the distance of a level-k satellite from the orbit it shadows."""
-    return Fraction(1, k)
+def level_gap(k, l=0):
+    """1/k + 1/l, the tag gap of tag levels k and l; level 0 is no tag.
+
+    level_gap(k) is the distance of a level-k satellite from the orbit it
+    shadows. The table is keyed by ints and filled on first use.
+    """
+    return sum((Fraction(1, v) for v in (k, l) if v), _ZERO)
+
+
+def tag_levels(x, y):
+    """The tag levels (k, l) of a distinct pair, 0 standing for a base point.
+
+    Two satellites over one orbit position count their level once, so
+    level_gap(*tag_levels(x, y)) is the tag gap of the module docstring.
+    """
+    if isinstance(x, ExtraPoint):
+        if isinstance(y, ExtraPoint):
+            if x.k == y.k and x.j == y.j:
+                return x.k, 0
+            return x.k, y.k
+        return x.k, 0
+    return 0, (y.k if isinstance(y, ExtraPoint) else 0)
 
 
 def tag_gap(x, y):
-    """The location-independent part of the metric for a distinct pair."""
-    if isinstance(x, ExtraPoint) and isinstance(y, ExtraPoint):
-        if (x.k, x.j) == (y.k, y.j):
-            return level_gap(x.k)
-        return level_gap(x.k) + level_gap(y.k)
-    if isinstance(x, ExtraPoint):
-        return level_gap(x.k)
-    if isinstance(y, ExtraPoint):
-        return level_gap(y.k)
-    return _ZERO
+    """The location-independent part of the metric for a distinct pair,
+    read from the level_gap table."""
+    return level_gap(*tag_levels(x, y))
+
+
+@functools.lru_cache(maxsize=None)
+def _dist(m, k, l):
+    """dyadic(m) + level_gap(k, l), with m None for equal projections."""
+    return level_gap(k, l) if m is None else dyadic(m) + level_gap(k, l)
 
 
 def aug_dist(x, y):
+    """The metric of the module docstring: the tag gap of the pair plus
+    2**-m, m the mismatch radius of the projections.
+
+    The sum is an exact table read keyed by ints (m and the tag levels),
+    so no Fraction is built, added or hashed per call.
+    """
     if x == y:
-        return Fraction(0)
-    gap = tag_gap(x, y)
-    d = base_dist(project(x), project(y))
-    return d + gap if gap else d
+        return _ZERO
+    return _dist(mismatch_radius(project(x), project(y)), *tag_levels(x, y))
+
+
+@functools.lru_cache(maxsize=None)
+def _residual(num, den, k, l, strict):
+    r = Fraction(num, den) - level_gap(k, l)
+    if r < 0 or strict and r == 0:
+        return None
+    return agree_radius(r, strict) if r else -1
+
+
+def residual_radius(bound, k, l, strict):
+    """How far the projections of a distinct pair with tag levels k and l
+    must agree for aug_dist < bound (strict) or aug_dist <= bound.
+
+    The base part, 2**-n with n the mismatch radius or 0 for equal
+    projections, must stay below (at most) r = bound - level_gap(k, l).
+    Returns None when no base part does, -1 when only 0 does (r == 0, not
+    strict), and otherwise m = agree_radius(r, strict): the base part
+    passes exactly when the projections agree on |j| < m, so 0 means that
+    every pair passes. The table is keyed by ints, the bound by its
+    numerator and denominator.
+    """
+    return _residual(bound.numerator, bound.denominator, k, l, strict)
 
 
 def dist_below(x, y, bound):
-    """aug_dist(x, y) < bound, checked on the window the bound fixes.
-
-    The base part must stay below the residual r = bound - tag_gap(x, y),
-    which holds exactly when the projections agree on |j| < m for
-    m = agree_radius(r, strict=True); no distance is computed.
+    """aug_dist(x, y) < bound, checked on the window the bound fixes:
+    the projections must agree on |j| < m for m = residual_radius(...);
+    no distance is computed.
     """
     if x == y:
         return bound > 0
-    gap = tag_gap(x, y)
-    r = bound - gap if gap else bound
-    if r <= 0:
+    m = residual_radius(bound, *tag_levels(x, y), True)
+    if m is None:
         return False
-    m = agree_radius(r, True)
     return project(x).window(1 - m, m) == project(y).window(1 - m, m)
 
 
@@ -201,9 +242,7 @@ def orbit_dists(y, points, start=0):
         else:
             rs = _nearest_mismatches(y.seq, z, [start + i for i in members])
         for i, r in zip(members, rs):
-            d = _ZERO if r is None else dyadic(r)
-            gap = tag_gap(y, points[i])
-            out[i] = d + gap if gap else d
+            out[i] = _dist(r, *tag_levels(y, points[i]))
     return out
 
 
@@ -212,28 +251,22 @@ def orbit_within(y, points, start, eps):
 
     At the time t = start + i with z = project(points[i]).shift(-t), the
     entry is at most eps exactly when y.seq and z agree on |j - t| < m,
-    with m = agree_radius(eps - tag_gap, strict=False); a residual of 0
-    needs z == y.seq and a negative one fails. A maximal run of indices
-    with the same z and m is checked on one window, its times widened by
-    m - 1 on each side. A satellite y is compared through orbit_dists.
+    with m = residual_radius(eps, *tag_levels(y, points[i]), False). A
+    maximal run of indices with the same z and m is checked on one window,
+    its times widened by m - 1 on each side. A satellite y is compared
+    through orbit_dists.
     """
     if isinstance(y, ExtraPoint):
         return all(d <= eps for d in orbit_dists(y, points, start))
     if eps < 0:
         return not points
-    seq = y.seq
-    m0 = agree_radius(eps, False) if eps else None
+    seq, num, den = y.seq, eps.numerator, eps.denominator
     run = None  # [z, m, first time, last time]
     for i, x in enumerate(points):
         t = start + i
-        gap = tag_gap(y, x)
-        if gap:
-            r = eps - gap
-            if r < 0:
-                return False
-            m = agree_radius(r, False) if r else None
-        else:
-            m = m0
+        m = _residual(num, den, *tag_levels(y, x), False)
+        if m is None:
+            return False
         z = project(x).shift(-t)
         if run is not None and run[0] == z and run[1] == m:
             run[3] = t
@@ -247,11 +280,12 @@ def orbit_within(y, points, start, eps):
 def _run_agrees(seq, z, m, lo, hi):
     """Do seq and z agree on |j - t| < m for every t in [lo, hi]?
 
-    m None stands for agreement everywhere.
+    m is read as residual_radius returns it: -1 stands for agreement
+    everywhere and 0 holds for every pair.
     """
     if seq == z or m == 0:
         return True
-    if m is None:
+    if m < 0:
         return False
     return seq.window(lo - m + 1, hi + m) == z.window(lo - m + 1, hi + m)
 

@@ -8,10 +8,11 @@ scans, windowed maxima, boolean closure), at small scale.
 import math
 from fractions import Fraction
 
-from nexpansive.base import assemble, base_dist
+from nexpansive.base import BiSeq, assemble, base_dist
 from nexpansive.chains import ChainGraph
 from nexpansive.space import (
     BasePoint,
+    ExtraPoint,
     aug_dist,
     aug_iterate,
     aug_map,
@@ -42,6 +43,34 @@ def brute_min_mismatch(x, y, bound=None):
 def brute_base_dist(x, y):
     m = brute_min_mismatch(x, y)
     return Fraction(0) if m is None else Fraction(1, 2) ** m
+
+
+def brute_tagged_point(k, j):
+    """p(k, j): the word 0^k 1 read from index j on, repeated both ways."""
+    word = "0" * k + "1"
+    return BiSeq(word[j:] + word[:j])
+
+
+def brute_aug_dist(x, y):
+    """The metric from the four-case table in space's docstring, with the
+    base part d0 = 2**-m from brute_min_mismatch, case by case."""
+    def d0(u, v):
+        m = brute_min_mismatch(u, v)
+        return Fraction(0) if m is None else Fraction(1, 2) ** m
+
+    if x == y:
+        return Fraction(0)
+    if isinstance(y, ExtraPoint) and not isinstance(x, ExtraPoint):
+        x, y = y, x
+    if not isinstance(x, ExtraPoint):
+        return d0(x.seq, y.seq)
+    px = brute_tagged_point(x.k, x.j)
+    if not isinstance(y, ExtraPoint):
+        return Fraction(1, x.k) + d0(y.seq, px)
+    if (x.k, x.j) == (y.k, y.j):
+        return Fraction(1, x.k)
+    return (Fraction(1, x.k) + Fraction(1, y.k)
+            + d0(px, brute_tagged_point(y.k, y.j)))
 
 
 def brute_canonical_fields(left, core, right, offset):

@@ -23,6 +23,7 @@ from nexpansive.base import (
     flip_symbol,
     glue_specification,
     left_tails_agree,
+    mismatch_radius,
     periodic_orbit,
     periodic_point,
     right_tails_agree,
@@ -34,6 +35,7 @@ from oracles import (
     brute_first_mismatch_fwd,
     brute_least_period,
     brute_left_tails_agree,
+    brute_min_mismatch,
     brute_right_tails_agree,
     brute_shadow_search,
     loop_chain_depth,
@@ -454,6 +456,97 @@ class TestFineWilfMismatch:
         assert first_mismatch_bwd(x, y, -1) == -1
         assert base_dist(x, y) == Fraction(1, 2)
         assert not right_tails_agree(x, y) and not left_tails_agree(x, y)
+
+
+long_words = st.integers(1, 300).flatmap(
+    lambda n: st.integers(0, 2**n - 1).map(lambda b: format(b, f"0{n}b")))
+# the probe radius and the edges of the first two doublings
+PROBE_EDGES = (0, 15, -15, 16, -16, 17, -17, 31, -31, 32, -32, 33, -33)
+# past every Fine-Wilf cap of radius_pairs: |offsets| and |at| <= 400,
+# cores <= 6 symbols, two periods <= 300 symbols per side
+RADIUS_SCAN = 1100
+
+
+@st.composite
+def radius_pairs(draw):
+    """Pairs for mismatch_radius, with periods up to 300 symbols.
+
+    The second point is the first itself, the first with symbols flipped
+    (at index 0, at the edges of the probe windows or anywhere), or the
+    first with one tail replaced from index ``at`` on by a period that
+    repeats the first's own word there, so the two agree for a stretch
+    and differ only on that side, often late, near the Fine-Wilf cap.
+    Offsets far from 0 put one side's cap far beyond the other's.
+    """
+    x = BiSeq(draw(long_words), draw(cores), draw(long_words),
+              draw(st.integers(-400, 400)))
+    kind = draw(st.sampled_from(["equal", "flips", "right", "left"]))
+    if kind == "equal":
+        return x, BiSeq(x.left, x.core, x.right, x.offset)
+    if kind == "flips":
+        spots = st.one_of(st.sampled_from(PROBE_EDGES),
+                          st.integers(-400, 400))
+        y = x
+        for at in draw(st.lists(spots, min_size=1, max_size=3)):
+            y = flip_symbol(y, at)
+        return x, y
+    at, n = draw(st.integers(-400, 400)), draw(st.integers(1, 300))
+    if kind == "right":
+        return x, assemble(x, at, "", at, BiSeq(x.window(at, at + n)), at)
+    tail = BiSeq(x.window(at - n, at)).shift(n - at)
+    return x, assemble(tail, at, "", at, x, 0)
+
+
+class TestMismatchRadius:
+    @settings(max_examples=400, deadline=None)
+    @given(radius_pairs())
+    def test_matches_symbol_scan(self, pair):
+        x, y = pair
+        m = brute_min_mismatch(x, y, RADIUS_SCAN)
+        assert mismatch_radius(x, y) == m
+        assert mismatch_radius(y, x) == m
+        assert base_dist(x, y) == (0 if m is None else Fraction(1, 2) ** m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_pairs())
+    def test_matches_brute_base_dist(self, pair):
+        x, y = pair
+        assert base_dist(x, y) == brute_base_dist(x, y)
+
+    @pytest.mark.parametrize("at", PROBE_EDGES)
+    def test_single_flip_at_the_probe_edges(self, at):
+        x = periodic_point(40).shift(7)
+        assert mismatch_radius(x, flip_symbol(x, at)) == abs(at)
+
+    def test_nearer_side_wins(self):
+        x = BiSeq("0")
+        for near, far in ((5, -6), (-5, 6), (16, -40), (-16, 40), (33, -33)):
+            y = flip_symbol(flip_symbol(x, near), far)
+            assert mismatch_radius(x, y) == abs(near)
+
+    @pytest.mark.parametrize("n", [3, 7, 9])
+    def test_mismatch_at_each_cap(self, n):
+        # Fibonacci words s(i + 1) = s(i) + s(i - 1), from "0" and "01":
+        # right tails with periods p = |s(n)| and q = |s(n - 1)|, coprime,
+        # agree on p + q - 2 symbols, so they first differ at the last index
+        # below the right cap max(0, core ends) + p + q - 1 (p, q = 5, 3;
+        # 34, 21; 89, 55). Mirrored one step further out, the left tails
+        # first differ at the left cap min(0, offsets) - (p + q - 1).
+        fib = ["0", "01"]
+        while len(fib) <= n:
+            fib.append(fib[-1] + fib[-2])
+        p, q = len(fib[n]), len(fib[n - 1])
+        x, y = BiSeq("1", "", fib[n], 0), BiSeq("1", "", fib[n - 1], 0)
+        assert mismatch_radius(x, y) == p + q - 2
+        u, v = x.reverse().shift(1), y.reverse().shift(1)
+        assert min(u.offset, v.offset) == 0
+        assert mismatch_radius(u, v) == p + q - 1
+        assert brute_min_mismatch(u, v) == p + q - 1
+
+    def test_far_mismatch_of_consecutive_levels(self):
+        for k in (1, 2, 15, 16, 17, 100, 1000):
+            x, y = periodic_point(k), periodic_point(k + 1)
+            assert mismatch_radius(x, y) == brute_min_mismatch(x, y) == k
 
 
 class TestShiftIsCanonical:

@@ -189,6 +189,9 @@ def test_library_value_errors_exit_two(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert not isinstance(result.exception, ValueError)
+    if args[:3] == ["two-sided", "--half", "64"]:
+        assert ("past tail does not reach every threshold within its 64 "
+                "steps") in result.output
 
 
 @pytest.mark.parametrize("command", ["classes", "construct"])

@@ -396,6 +396,23 @@ class TestTwoSidedShadowing:
         assert report.point.k == 3
         assert report.junction is None
 
+    @pytest.mark.parametrize("side", ["past", "future"])
+    def test_unreachable_threshold_names_the_tail(self, sys3, side):
+        # the drifting orbit with the defects of one half taken out: that
+        # half is a true orbit and reaches every threshold, the other
+        # keeps a defect at every fourth index and misses 2**-40
+        ts = drifting_two_sided_orbit(half=64)
+        backbone = piecewise_periodic([0], [BiSeq("001"), BiSeq("0001")])
+        clean = range(1, 65) if side == "past" else range(-64, 0)
+        pts = tuple(BasePoint(backbone.shift(t)) if t in clean else ts.at(t)
+                    for t in range(-64, 65))
+        ts = PseudoOrbit(pts, ts.schedule, -64)
+        with pytest.raises(DecayThresholdError,
+                           match=f"^{side} tail does not reach every "
+                                 "threshold within its 64 steps"):
+            two_sided_limit_shadow(sys3, ts, thresholds=(Fraction(1, 2),
+                                                         Fraction(1, 2**40)))
+
     def test_distinct_satellite_orbits_rejected(self, sys3):
         left = [ExtraPoint(1, 3, t % 4) for t in range(-20, 0)]
         right = [ExtraPoint(2, 3, t % 4) for t in range(0, 21)]
