@@ -5,83 +5,137 @@ eps of v, so walks in the graph are exactly the finite eps-pseudo-orbits
 through the sample. Two nodes share a class when each reaches the other
 through at least one step; nodes that cannot return to themselves are
 reported separately as transient at this resolution.
+
+No distance is computed. With tag level k for a level-k satellite and 0
+for a base point, the metric of nexpansive.space puts a pair of levels k
+and m within eps exactly when their projections agree on |j| < r, for
+r = residual_radius(eps, k, m, True), and never when r is None. So an
+edge is a bucket membership: the nodes of one level keyed by the word of
+their projection on [1 - r, r]. Two cases the metric treats apart are
+added explicitly: the image itself (distance 0) and the other satellites
+over its orbit position (distance 1/k).
+
+Every image that hits a bucket steps to all of its members, so the graph
+keeps one hub per bucket hit, with edges u -> hub -> member (Feder and
+Motwani, Clique partitions, graph compression and speeding-up
+algorithms, JCSS 1995). Reachability among the nodes is unchanged, so
+the classes are read off the strongly connected components of the hub
+graph.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nexpansive.base import agree_radius
 from nexpansive.space import (
     ExtraPoint,
-    aug_dist,
     aug_map,
     canonical_key,
     level_gap,
     project,
+    residual_radius,
 )
 
 
 @dataclass(frozen=True)
 class ChainGraph:
+    """The chain graph in hub form.
+
+    out[u] lists the successors of node u in the hub graph: a node index
+    v < len(nodes), or len(nodes) + h for hubs[h], the ascending node
+    indices u steps to through that hub. No node is listed twice across
+    out[u] and its hubs.
+    """
+
     epsilon: Fraction
     nodes: tuple
-    adjacency: tuple   # adjacency[u] = tuple of successor indices
+    out: tuple
+    hubs: tuple
+
+    @functools.cached_property
+    def adjacency(self):
+        """adjacency[u] = ascending tuple of the successor nodes of u."""
+        n, hubs = len(self.nodes), self.hubs
+        return tuple(
+            tuple(sorted([w for v in succ
+                          for w in ((v,) if v < n else hubs[v - n])]))
+            for succ in self.out)
 
     def edge_count(self):
-        return sum(len(a) for a in self.adjacency)
+        """The number of edges, read off the hub sizes."""
+        n = len(self.nodes)
+        sizes = [len(members) for members in self.hubs]
+        return sum(1 if v < n else sizes[v - n]
+                   for succ in self.out for v in succ)
+
+
+def _level(x):
+    return x.k if isinstance(x, ExtraPoint) else 0
 
 
 def build_chain_graph(sample, eps):
     """Exact one-step reachability graph of the sample at resolution eps.
 
-    An edge u -> v means aug_dist(f(u), v) < eps. Two facts of the metric
-    narrow the pairs that need that exact test, without losing an edge:
-
-    * Cylinder buckets. Let depth be the least integer >= -1 with
-      2**-(depth+1) < eps. The tag gap is never negative, so an edge
-      forces base_dist(project(f(u)), project(v)) < eps, and so the two
-      projections agree on [-depth, depth]. Only nodes whose projection
-      spells the same word there as project(f(u)) are tested. For eps > 1,
-      depth = -1 and every node shares the one empty-word bucket.
-    * Isolated satellites. The tag gap of a pair involving a level-k
-      satellite is at least 1/k. A satellite with 1/k >= eps therefore
-      steps only to its own image and is reached only from its preimage,
-      so it sits in no bucket and gets at most that single successor.
-
-    Every remaining candidate is confirmed with aug_dist. Successors are
-    listed in ascending node index.
+    An edge u -> v means aug_dist(f(u), v) < eps, decided by the rule of
+    the module docstring. Each level is bucketed once per radius asked of
+    it (r = 0 is one bucket of the whole level), and the first image to
+    hit a bucket makes it a hub. The level-k bucket of a level-k image
+    holds the image and the copies over its position, whose projections
+    equal the image's; only when 2/k >= eps is there none, and they are
+    added directly: the image, and the copies when 1/k < eps. So u has at
+    most one hub per level and direct nodes only at a level without one.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     nodes = tuple(sorted(set(sample), key=canonical_key))
-    index = {v: i for i, v in enumerate(nodes)}
-    depth = agree_radius(eps, True) - 1
-
-    def isolated(x):
-        return isinstance(x, ExtraPoint) and level_gap(x.k) >= eps
-
-    def cylinder(x):
-        return project(x).window(-depth, depth + 1)
-
-    buckets = {}
+    n = len(nodes)
+    levels, positions = {}, {}
     for vi, v in enumerate(nodes):
-        if not isolated(v):
-            buckets.setdefault(cylinder(v), []).append(vi)
-    adjacency = []
+        levels.setdefault(_level(v), []).append(vi)
+        if isinstance(v, ExtraPoint):
+            positions.setdefault((v.k, v.j), []).append(vi)
+    targets = {}   # image level k -> [(m, r), ...]
+    buckets = {}   # (m, r) -> {word: members}
+    hub_ids = {}   # (m, r, word) -> hub vertex
+    hubs = []
+    out = []
     for u in nodes:
         image = aug_map(u)
-        if isolated(u):
-            adjacency.append((index[image],) if image in index else ())
-        else:
-            # From a list, not a generator: tuple() would grow a guessed
-            # size by resizing, and the resized tuples pile up in the
-            # interpreter's free lists, raising peak memory over many calls.
-            adjacency.append(tuple([
-                vi for vi in buckets.get(cylinder(image), ())
-                if aug_dist(image, nodes[vi]) < eps]))
-    return ChainGraph(epsilon=eps, nodes=nodes, adjacency=tuple(adjacency))
+        k = _level(image)
+        if k not in targets:
+            targets[k] = [(m, r) for m in levels
+                          if (r := residual_radius(eps, k, m, True)) is not None]
+        succ = []
+        if k and residual_radius(eps, k, k, True) is None:
+            succ.extend(vi for vi in positions.get((k, image.j), ())
+                        if level_gap(k) < eps or nodes[vi] == image)
+        seq = project(image)
+        words = {}
+        for m, r in targets[k]:
+            if r not in words:
+                words[r] = seq.window(1 - r, r)
+            word = words[r]
+            if (m, r) not in buckets:
+                grouped = buckets[m, r] = {}
+                for vi in levels[m]:
+                    grouped.setdefault(project(nodes[vi]).window(1 - r, r),
+                                       []).append(vi)
+            members = buckets[m, r].get(word)
+            if members is None:
+                continue
+            key = (m, r, word)
+            if key not in hub_ids:
+                hub_ids[key] = n + len(hubs)
+                hubs.append(tuple(members))
+            succ.append(hub_ids[key])
+        # From a list, not a generator: tuple() would grow a guessed size
+        # by resizing, and the resized tuples pile up in the interpreter's
+        # free lists, raising peak memory over many calls.
+        out.append(tuple(succ))
+    return ChainGraph(epsilon=eps, nodes=nodes, out=tuple(out),
+                      hubs=tuple(hubs))
 
 
 def _tarjan_sccs(adjacency):
@@ -144,20 +198,25 @@ class ClassPartition:
 def chain_classes(graph):
     """Partition the graph's recurrent part into chain classes.
 
-    A strongly connected component is a class when it carries at least one
-    edge (a larger component always does; a singleton needs a self loop).
-    Classes are ordered by their least node index, nodes inside a class by
-    index, so the output is deterministic for a fixed sample.
+    Tarjan runs on the hub graph: nodes plus hubs. A component's nodes form
+    a class when it carries at least one edge: a component of more than
+    one vertex always does, as its cycles run through nodes; a lone node
+    needs a direct self loop, since a loop through a hub puts the hub in
+    its component. Components of a lone hub are skipped. Classes are
+    ordered by their least node index, nodes inside a class by index, so
+    the output is deterministic for a fixed sample.
     """
-    sccs = _tarjan_sccs(graph.adjacency)
+    n = len(graph.nodes)
     classes = []
     transient = []
-    for comp in sccs:
-        comp = sorted(comp)
-        if len(comp) > 1 or comp[0] in graph.adjacency[comp[0]]:
-            classes.append(comp)
+    for comp in _tarjan_sccs(graph.out + graph.hubs):
+        members = sorted(v for v in comp if v < n)
+        if not members:
+            continue
+        if len(comp) > 1 or members[0] in graph.out[members[0]]:
+            classes.append(members)
         else:
-            transient.append(comp[0])
+            transient.append(members[0])
     classes.sort(key=lambda comp: comp[0])
     # Tuples from lists, as in build_chain_graph, to keep peak memory flat.
     return ClassPartition(

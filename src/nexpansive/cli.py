@@ -34,6 +34,7 @@ from nexpansive.expansivity import (
 from nexpansive.chains import build_chain_graph, chain_classes
 from nexpansive.chains import edges_csv as chain_edges_csv
 from nexpansive.shadowing import (
+    ScheduleError,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,
@@ -395,12 +396,15 @@ def limit_shadow_cmd(**flags):
 def two_sided(**flags):
     """Two-sided limit trace of a drifting pseudo-orbit."""
     run = _Run(**flags)
+    half = run.param("half")
     with _invalid_input():
         tslpo = drifting_two_sided_orbit(run.param("past_word"),
-                                         run.param("future_word"),
-                                         half=run.param("half"))
-        report = two_sided_limit_shadow(
-            run.system, tslpo, thresholds=run.fractions("thresholds"))
+                                         run.param("future_word"), half=half)
+        try:
+            report = two_sided_limit_shadow(
+                run.system, tslpo, thresholds=run.fractions("thresholds"))
+        except ScheduleError as exc:
+            raise ScheduleError(f"{exc}; try a --half above {half}") from None
     run.emit(report, ok=True)
 
 

@@ -65,7 +65,8 @@ class IsolationError(ValueError):
 
 class DecayThresholdError(ValueError):
     """No candidate point achieved every requested decay threshold; the
-    traced window is too short for the smallest threshold."""
+    traced window is too short for the smallest threshold. The message
+    lists the thresholds that no candidate reached."""
 
 
 @dataclass(frozen=True)
@@ -405,15 +406,17 @@ def limit_shadow(sys, lpo, thresholds=None):
     candidates = [aug_iterate(r, -stab) for r in reps]
     if thresholds is None:
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
+    missed = set(thresholds)
     for cand in candidates:
         dists = orbit_dists(cand, pts)
         decay = tuple((th, _decay_index(dists, th)) for th in thresholds)
         if all(idx is not None for _, idx in decay):
             break
+        missed &= {th for th, idx in decay if idx is None}
     else:
         raise DecayThresholdError(
             f"none of {len(candidates)} candidates decays through "
-            f"{[str(t) for t in thresholds]}")
+            f"{[str(t) for t in thresholds if t in missed]}")
     return LimitShadowReport(
         point=cand, decay=decay, stages=stage_reports,
         stabilization=stab,
@@ -456,13 +459,19 @@ def _tail_dists(tslpo, past_point, future_point):
 
 
 def _trace_half(sys, lpo, thresholds, side):
-    """limit_shadow of one half, naming the half when it misses a threshold."""
+    """limit_shadow of one half, naming the half when it is too short to
+    trace or misses a threshold."""
+    steps = len(lpo.points) - 1
     try:
         return limit_shadow(sys, lpo, thresholds=thresholds)
     except DecayThresholdError as exc:
         raise DecayThresholdError(
             f"{side} tail does not reach every threshold within its "
-            f"{len(lpo.points) - 1} steps: {exc}") from None
+            f"{steps} steps: {exc}") from None
+    except ScheduleError as exc:
+        raise ScheduleError(
+            f"{side} tail of {steps} steps is too short to limit-trace: "
+            f"{exc}") from None
 
 
 def _tail_floor(idx, side, bound):

@@ -210,7 +210,8 @@ def brute_orbit_dists(y, points, start=0):
 
 
 def brute_chain_graph(sample, eps):
-    """The chain graph by testing aug_dist(f(u), v) < eps on every pair."""
+    """The chain graph by testing aug_dist(f(u), v) < eps on every pair,
+    as a ChainGraph without hubs: out[u] is the adjacency of u."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     nodes = tuple(sorted(set(sample), key=canonical_key))
@@ -218,7 +219,7 @@ def brute_chain_graph(sample, eps):
     adjacency = tuple(
         tuple(vi for vi, v in enumerate(nodes) if aug_dist(images[ui], v) < eps)
         for ui in range(len(nodes)))
-    return ChainGraph(epsilon=eps, nodes=nodes, adjacency=adjacency)
+    return ChainGraph(epsilon=eps, nodes=nodes, out=adjacency, hubs=())
 
 
 def closure_classes(adjacency):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nexpansive.base import BiSeq, periodic_orbit, periodic_point
-from nexpansive.space import BasePoint, ExtraPoint, aug_dist, aug_map
+import nexpansive.base
+import nexpansive.chains
+import nexpansive.space
+from nexpansive.space import (AugSystem, BasePoint, ExtraPoint, aug_dist,
+                              aug_map)
 from nexpansive.chains import (
     ChainGraph,
     build_chain_graph,
@@ -66,8 +71,14 @@ class TestGraph:
 
 
 def assert_matches_brute(sample, eps):
+    """The hub graph expands to the brute adjacency, and Tarjan on the hub
+    graph gives the classes of Tarjan on the brute one."""
     got = build_chain_graph(sample, eps)
-    assert got == brute_chain_graph(sample, eps)
+    want = brute_chain_graph(sample, eps)
+    assert got.nodes == want.nodes
+    assert got.adjacency == want.adjacency
+    assert got.edge_count() == want.edge_count()
+    assert chain_classes(got) == chain_classes(want)
     return got
 
 
@@ -81,11 +92,14 @@ def assert_matches_brute_at(sample, epss):
     coarse = assert_matches_brute(sample, epss[0])
     images = [aug_map(u) for u in coarse.nodes]
     for eps in epss[1:]:
-        want = tuple(tuple(vi for vi in succ
-                           if aug_dist(images[ui], coarse.nodes[vi]) < eps)
-                     for ui, succ in enumerate(coarse.adjacency))
-        assert build_chain_graph(sample, eps) == ChainGraph(
-            epsilon=eps, nodes=coarse.nodes, adjacency=want)
+        want = ChainGraph(epsilon=eps, nodes=coarse.nodes, out=tuple(
+            tuple(vi for vi in succ
+                  if aug_dist(images[ui], coarse.nodes[vi]) < eps)
+            for ui, succ in enumerate(coarse.adjacency)), hubs=())
+        got = build_chain_graph(sample, eps)
+        assert got.adjacency == want.adjacency
+        assert got.edge_count() == want.edge_count()
+        assert chain_classes(got) == chain_classes(want)
 
 
 class TestAgainstBruteForce:
@@ -114,7 +128,8 @@ class TestAgainstBruteForce:
         sample = construction_sample(sys3, extras_k_hi=k_hi, orbits_k_hi=k_hi,
                                      random_count=0)
         assert_matches_brute_at(
-            sample, {Fraction(1, K) for K in (12, 24, 48, 96, 2 * k_hi)})
+            sample, {Fraction(1, K)
+                     for K in (7, 10, 12, 21, 24, 48, 96, 2 * k_hi)})
 
     def test_finite_expansive_variant(self, fe):
         sample = construction_sample(fe, extras_k_hi=8, orbits_k_hi=6,
@@ -159,6 +174,27 @@ class TestAgainstBruteForce:
         r = ExtraPoint(1, k + 1, 0)
         assert g.nodes.index(BasePoint(periodic_point(k + 1).shift(1))) in \
             g.adjacency[g.nodes.index(r)]
+        # Between 1/k and 2/k the copies over the image's orbit position
+        # are within eps of it (gap 1/k) and level-k copies at any other
+        # position are not (gap 2/k).
+        g = assert_matches_brute(sample, Fraction(3, 2 * k))
+        succ = {g.nodes[v] for v in g.adjacency[g.nodes.index(q)]}
+        assert {p for p in succ if isinstance(p, ExtraPoint) and p.k == k} \
+            == {ExtraPoint(1, k, 1), ExtraPoint(2, k, 1)}
+
+    def test_builds_without_distance_calls(self, sys3, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("build_chain_graph computed a distance")
+
+        for module in (nexpansive.base, nexpansive.space, nexpansive.chains):
+            for name in ("aug_dist", "dist_below", "base_dist",
+                         "mismatch_radius"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        sample = construction_sample(sys3, extras_k_hi=12, orbits_k_hi=12,
+                                     random_count=20)
+        for eps in (Fraction(3), Fraction(1, 7), Fraction(1, 24)):
+            assert build_chain_graph(sample, eps).edge_count() > 0
 
     def test_satellite_whose_image_is_missing(self, sys3):
         q = ExtraPoint(1, 6, 6)
@@ -194,6 +230,23 @@ class TestClasses:
                                 ).class_count() for K in (6, 12, 24)]
         assert counts[0] < counts[1] < counts[2]
         assert counts == [27, 28, 29]
+
+    def test_k_hi_50_class_counts_grow_within_budget(self):
+        # The paper's infinitely many classes at a scale where the growth
+        # shows; the hub graph is never expanded to its adjacency.
+        sample = construction_sample(AugSystem(3), 50, 50, random_count=0)
+        start = time.perf_counter()
+        counts, edges = [], []
+        for big_k in (24, 50, 100, 200):
+            g = build_chain_graph(sample, Fraction(1, big_k))
+            counts.append(chain_classes(g).class_count())
+            edges.append(g.edge_count())
+            assert "adjacency" not in vars(g)
+        elapsed = time.perf_counter() - start
+        assert counts == [52, 105, 106, 107]
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert edges == [3023691, 696256, 574948, 470924]
+        assert elapsed < 5.0
 
     def test_refinement(self, sys3):
         rng = random.Random(113)

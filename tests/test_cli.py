@@ -183,6 +183,8 @@ def test_config_overrides_flags(runner, tmp_path):
     ["limit-shadow", "--thresholds", "-1/2"],
     ["two-sided", "--thresholds", "0/1"],
     ["two-sided", "--half", "64", "--thresholds", "1/2,1/1099511627776"],
+    ["two-sided", "--half", "8"],
+    ["two-sided", "--past-word", "01", "--future-word", "01", "--half", "8"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -191,7 +193,13 @@ def test_library_value_errors_exit_two(runner, tmp_path, args):
     assert not isinstance(result.exception, ValueError)
     if args[:3] == ["two-sided", "--half", "64"]:
         assert ("past tail does not reach every threshold within its 64 "
-                "steps") in result.output
+                "steps: none of 1 candidates decays through "
+                "['1/1099511627776']") in result.output
+        assert "'1/2'" not in result.output
+    if args[-2:] == ["--half", "8"]:
+        assert ("past tail of 8 steps is too short to limit-trace" in
+                result.output)
+        assert "--half above 8" in result.output
 
 
 @pytest.mark.parametrize("command", ["classes", "construct"])

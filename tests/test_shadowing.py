@@ -409,7 +409,9 @@ class TestTwoSidedShadowing:
         ts = PseudoOrbit(pts, ts.schedule, -64)
         with pytest.raises(DecayThresholdError,
                            match=f"^{side} tail does not reach every "
-                                 "threshold within its 64 steps"):
+                                 r"threshold within its 64 steps: none of "
+                                 r"\d+ candidates decays through "
+                                 r"\['1/1099511627776'\]$"):
             two_sided_limit_shadow(sys3, ts, thresholds=(Fraction(1, 2),
                                                          Fraction(1, 2**40)))
 
