@@ -46,8 +46,6 @@ from nexpansive.expansivity import (
     lower_expansivity_falsifier,
     stabilization_index,
     stable_class_count,
-    sup_forward_dist,
-    sup_orbit_dist,
 )
 from nexpansive.chains import (
     ChainGraph,

@@ -220,20 +220,35 @@ def _diff_bits(xs, ys):
     return int(xs, 2) ^ int(ys, 2)
 
 
-def first_mismatch_fwd(x, y, start=0):
-    """Smallest index >= start where x and y disagree, or None.
+def right_cap(x, y, start):
+    """Exclusive end of the stretch that decides x and y from start on.
 
     From s0 = max(start, both core ends) on, x has period p = len(x.right)
     and y period q = len(y.right). If they agree on the p + q - gcd(p, q)
     symbols from s0, that common word has both periods, so by Fine and
     Wilf it has period gcd(p, q), and both tails then repeat the same
-    gcd(p, q) symbols on the whole ray. The scan therefore stops there
-    instead of at lcm(p, q). It compares windows of doubling length,
-    starting with a short probe, since most lookups disagree early.
+    gcd(p, q) symbols on the whole ray.
     """
-    s0 = max(start, x.core_end, y.core_end)
     p, q = len(x.right), len(y.right)
-    hi = s0 + p + q - math.gcd(p, q)
+    return max(start, x.core_end, y.core_end) + p + q - math.gcd(p, q)
+
+
+def left_cap(x, y, start):
+    """Lowest index of the stretch that decides x and y from start down:
+    the mirror of right_cap, from min(start, both offsets - 1) with the
+    left periods."""
+    p, q = len(x.left), len(y.left)
+    return min(start, x.offset - 1, y.offset - 1) - p - q + math.gcd(p, q) + 1
+
+
+def first_mismatch_fwd(x, y, start=0):
+    """Smallest index >= start where x and y disagree, or None.
+
+    The scan stops at right_cap(x, y, start) instead of at lcm(p, q) of
+    the right periods. It compares windows of doubling length, starting
+    with a short probe, since most lookups disagree early.
+    """
+    hi = right_cap(x, y, start)
     step = _PROBE
     while start < hi:
         end = min(start + step, hi)
@@ -248,12 +263,10 @@ def first_mismatch_fwd(x, y, start=0):
 def first_mismatch_bwd(x, y, start=-1):
     """Largest index <= start where x and y disagree, or None.
 
-    The mirror image of first_mismatch_fwd: below both offsets the left
-    periods decide the whole ray within p + q - gcd(p, q) symbols.
+    The mirror image of first_mismatch_fwd: the scan stops at
+    left_cap(x, y, start).
     """
-    s0 = min(start, x.offset - 1, y.offset - 1)
-    p, q = len(x.left), len(y.left)
-    lo = s0 - (p + q - math.gcd(p, q)) + 1
+    lo = left_cap(x, y, start)
     step = _PROBE
     end = start + 1
     while end > lo:
@@ -273,11 +286,9 @@ def mismatch_radius(x, y):
     One outward scan: a probe compares x and y on [-_PROBE, _PROBE], and
     each later round doubles the radius and compares only the two new
     stretches; the nearest mismatch is read off the XOR of the words that
-    differ. Past the probe each side stops at its cap, as in
-    first_mismatch_fwd and _bwd: beyond max(0, both core ends) the right
-    periods p and q decide the ray within p + q - gcd(p, q) symbols (Fine
-    and Wilf), and below min(0, both offsets) the left periods do the
-    same. A mismatch at distance at most r therefore lies in the capped
+    differ. Past the probe each side stops at its Fine and Wilf cap,
+    right_cap(x, y, 0) and left_cap(x, y, -1), as in first_mismatch_fwd
+    and _bwd. A mismatch at distance at most r therefore lies in the capped
     window, and the cost grows with the distance to the nearer mismatch,
     not the farther one.
     """
@@ -296,10 +307,8 @@ def mismatch_radius(x, y):
         back = (behind & -behind).bit_length() - 1
         return min(back, r + 1 - ahead.bit_length()) if ahead else back
     # the last index each side must read; a cap inside the probe is done
-    p, q = len(x.right), len(y.right)
-    right = max(r, max(0, x.core_end, y.core_end) + p + q - math.gcd(p, q) - 1)
-    p, q = len(x.left), len(y.left)
-    left = min(-r, min(0, x.offset, y.offset) - p - q + math.gcd(p, q))
+    right = max(r, right_cap(x, y, 0) - 1)
+    left = min(-r, left_cap(x, y, -1))
     lo, hi = -r, r  # x and y agree on [lo, hi]
     while lo > left or hi < right:
         r *= 2
@@ -332,8 +341,7 @@ def right_tails_agree(x, y):
     """True when x[i] == y[i] for all large enough i.
 
     For tail-periodic sequences this is equivalent to exact agreement from
-    the last core boundary on. With right periods p and q, the first
-    p + q - gcd(p, q) symbols past that boundary decide it (Fine and Wilf).
+    the last core boundary on, which the symbols up to right_cap decide.
     """
     return first_mismatch_fwd(x, y, max(x.core_end, y.core_end)) is None
 

@@ -1,9 +1,9 @@
-"""JSON forms for points, systems, pseudo-orbits and reports.
+"""JSON forms for reports.
 
-Rationals travel as "p/q" strings, never as floats; sequences as their
-four description fields, canonicalized again on the way in. ``encode``
-turns any report dataclass into JSON-ready data with deterministic
-ordering, so identical inputs yield byte-identical report files.
+Rationals are written as "p/q" strings, never as floats; sequences as
+their four canonical description fields. ``encode`` turns any report
+dataclass into JSON-ready data with deterministic ordering, so identical
+inputs yield byte-identical report files.
 """
 
 from __future__ import annotations
@@ -13,29 +13,15 @@ from fractions import Fraction
 
 from nexpansive.base import BiSeq
 from nexpansive.space import AugSystem, BasePoint, ExtraPoint
-from nexpansive.shadowing import PseudoOrbit
 
 
 def format_fraction(value):
-    f = value if type(value) is Fraction else Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(text):
-    if isinstance(text, int):
-        return Fraction(text)
-    num, _, den = str(text).partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def biseq_to_json(seq):
     return {"left": seq.left, "core": seq.core, "right": seq.right,
             "offset": seq.offset}
-
-
-def biseq_from_json(data):
-    return BiSeq(data["left"], data.get("core", ""), data["right"],
-                 data.get("offset", 0))
 
 
 def point_to_json(point):
@@ -44,35 +30,8 @@ def point_to_json(point):
     return {"type": "extra", "i": point.i, "k": point.k, "j": point.j}
 
 
-def point_from_json(data):
-    if data["type"] == "base":
-        return BasePoint(biseq_from_json(data["seq"]))
-    if data["type"] == "extra":
-        return ExtraPoint(data["i"], data["k"], data["j"])
-    raise ValueError(f"unknown point type {data['type']!r}")
-
-
 def system_to_json(sys):
     return {"n": sys.n, "variant": sys.variant, "k_max": sys.k_max}
-
-
-def system_from_json(data):
-    return AugSystem(n=data.get("n", 2), variant=data.get("variant", "standard"),
-                     k_max=data.get("k_max", 50))
-
-
-def pseudo_orbit_to_json(po):
-    return {"points": [point_to_json(p) for p in po.points],
-            "start": po.start,
-            "schedule": [{"k": k, "bound": format_fraction(b)}
-                         for k, b in po.schedule]}
-
-
-def pseudo_orbit_from_json(data):
-    return PseudoOrbit(
-        [point_from_json(p) for p in data["points"]],
-        [(e["k"], parse_fraction(e["bound"])) for e in data["schedule"]],
-        data["start"])
 
 
 def _encode_list(value):

@@ -1,39 +1,39 @@
 """Dynamic balls, expansivity certificates and stable-set bookkeeping.
 
-All suprema of distance sequences t -> d(f^t x, f^t y) are computed exactly.
 The metric splits into a constant tag separation plus the base distance of
 the two projections, and the projections are eventually periodic, so the
-whole story reduces to locating mismatches between two such sequences:
+supremum of t -> d(f^t x, f^t y) over a range of times reduces to where
+the two projections disagree:
 
 * over all integer times, two distinct projections become fully separated
-  (base distance 1) at any mismatch position;
+  (base distance 1) at any mismatch position, which bounds the exact
+  dynamic balls;
 * over forward times, a mismatch at a nonnegative index again forces full
   separation, otherwise the supremum is attained at time zero and equals
-  the depth of the last mismatch in the past;
+  the depth of the last mismatch in the past; in_local_stable checks a
+  bound on it on the window the bound fixes, without locating any
+  mismatch;
 * along forward limits, the base part dies out exactly when the right
-  tails eventually agree, and otherwise keeps returning to 1.
+  tails eventually agree, and otherwise keeps returning to 1
+  (limsup_forward_dist).
 
-Those three facts drive every membership test in this module and make the
-reported sets exact whenever the radius stays below 1/2, the separation
-scale of the base shift. A bound on the forward supremum is checked on the
-window it fixes, without locating any mismatch, and below 1/2 the stable
+Those three facts make the reported sets exact whenever the radius stays
+below 1/2, the separation scale of the base shift. Below 1/2 the stable
 classes of a local stable set are read off its members: every member's
 projection agrees with the center's from index 0 on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from nexpansive.base import (
     HALF,
     agree_radius,
-    dyadic,
     first_mismatch_bwd,
-    first_mismatch_fwd,
     left_tails_agree,
+    right_cap,
     right_tails_agree,
 )
 from nexpansive.space import (
@@ -47,36 +47,12 @@ from nexpansive.space import (
     orbit_label,
     project,
     residual_radius,
-    tag_gap,
     tag_levels,
     tail_label,
 )
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
-
-
-def _base_sup_fwd(s, u):
-    """sup over t >= 0 of base_dist(s.shift(t), u.shift(t)), exactly."""
-    if first_mismatch_fwd(s, u, 0) is not None:
-        return ONE
-    w = first_mismatch_bwd(s, u, -1)
-    return ZERO if w is None else dyadic(-w)
-
-
-def sup_forward_dist(x, y):
-    """sup of d(f^t x, f^t y) over t >= 0."""
-    if x == y:
-        return ZERO
-    return tag_gap(x, y) + _base_sup_fwd(project(x), project(y))
-
-
-def sup_orbit_dist(x, y):
-    """sup of d(f^t x, f^t y) over all integer t."""
-    if x == y:
-        return ZERO
-    px, py = project(x), project(y)
-    return tag_gap(x, y) + (ZERO if px == py else ONE)
 
 
 def limsup_forward_dist(x, y):
@@ -88,20 +64,23 @@ def limsup_forward_dist(x, y):
     """
     if x == y:
         return ZERO
-    px, py = project(x), project(y)
-    return tag_gap(x, y) + (ZERO if right_tails_agree(px, py) else ONE)
+    base = ZERO if right_tails_agree(project(x), project(y)) else ONE
+    return level_gap(*tag_levels(x, y)) + base
 
 
 def in_local_stable(y, x, eps):
     """Membership of y in the local stable set of x at size eps.
 
-    sup_forward_dist(y, x) <= eps, checked on the window the bound fixes.
-    The base part must stay within r = eps - tag_gap(x, y), and
-    residual_radius reads the rule for r off its table: r < 0 never, r >= 1
-    always, r == 0 only equal projections, and otherwise agreement on
-    [1 - m, oo) with m = agree_radius(r, strict=False). Past index 0 and
-    both cores, the right periods p and q decide that ray within
-    p + q - gcd(p, q) symbols (Fine and Wilf).
+    d(f^t y, f^t x) <= eps for every t >= 0, checked on the window the
+    bound fixes. The tag gap of the pair is constant along the orbits, and
+    over forward times the base part is 1 when the projections differ at
+    an index >= 0, and otherwise 2**-n with n the depth of their last
+    mismatch below 0. It must stay within r = eps minus the tag gap, and
+    residual_radius reads the rule for r off its table: r < 0 never,
+    r >= 1 always, r == 0 only equal projections, and otherwise agreement
+    on [1 - m, oo) with m = agree_radius(r, strict=False). The window
+    stops at right_cap(px, py, 0), past which that ray is decided (Fine
+    and Wilf).
     """
     if x == y:
         return eps >= 0
@@ -111,8 +90,7 @@ def in_local_stable(y, x, eps):
     px, py = project(x), project(y)
     if m < 0:
         return px == py
-    p, q = len(px.right), len(py.right)
-    hi = max(0, px.core_end, py.core_end) + p + q - math.gcd(p, q)
+    hi = right_cap(px, py, 0)
     return px.window(1 - m, hi) == py.window(1 - m, hi)
 
 

@@ -51,8 +51,9 @@ def _satellite_levels(sys, k_hi):
 
 
 def random_point(sys, rng, k_hi=None, extra_share=0.4):
-    """A random point, satellite with probability extra_share."""
-    k_hi = sys.k_max if k_hi is None else k_hi
+    """A random point, satellite with probability extra_share and then of
+    level at most sys.level_bound(k_hi)."""
+    k_hi = sys.level_bound(k_hi)
     if rng.random() < extra_share:
         choices = _satellite_levels(sys, k_hi)
         if choices:

@@ -90,12 +90,18 @@ class AugSystem:
             raise ValueError(f"{x} exceeds multiplicity {self.multiplicity(x.k)}")
         return x
 
-    def extra_points(self, k_hi):
-        """Every satellite point of level at most k_hi, each exactly once."""
+    def level_bound(self, k_hi=None):
+        """k_hi, or k_max for None; a k_hi above k_max is rejected."""
+        if k_hi is None:
+            return self.k_max
         if k_hi > self.k_max:
             raise ValueError(f"k_hi={k_hi} exceeds enumeration bound {self.k_max}")
+        return k_hi
+
+    def extra_points(self, k_hi):
+        """Every satellite point of level at most k_hi, each exactly once."""
         out = []
-        for k in range(1, k_hi + 1):
+        for k in range(1, self.level_bound(k_hi) + 1):
             for i in range(1, self.multiplicity(k) + 1):
                 out.extend(ExtraPoint(i, k, j) for j in range(k + 1))
         return out
@@ -144,12 +150,6 @@ def tag_levels(x, y):
             return x.k, y.k
         return x.k, 0
     return 0, (y.k if isinstance(y, ExtraPoint) else 0)
-
-
-def tag_gap(x, y):
-    """The location-independent part of the metric for a distinct pair,
-    read from the level_gap table."""
-    return level_gap(*tag_levels(x, y))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from nexpansive.cli import main
+from nexpansive.cli import _fraction_arg, main
 
 
 @pytest.fixture()
@@ -139,6 +141,18 @@ def test_metric_axioms(runner, tmp_path):
     assert load(tmp_path, "metric-axioms")["result"]["violations"] == []
 
 
+def test_rationals_are_p_q_or_bare_integers(runner, tmp_path):
+    assert _fraction_arg("7/2", "eps") == Fraction(7, 2)
+    assert _fraction_arg("-6/4", "eps") == Fraction(-3, 2)
+    assert _fraction_arg("5", "eps") == Fraction(5)
+    for bad in ("1/0", "x", "1/2/3", ""):
+        with pytest.raises(click.UsageError, match="bad rational for eps"):
+            _fraction_arg(bad, "eps")
+    run_ok(runner, tmp_path,
+           ["stable-count", "--center", "periodic:5", "--eps", "0"])
+    assert load(tmp_path, "stable-count")["result"]["epsilon"] == "0/1"
+
+
 def test_reports_are_reproducible(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -185,6 +199,7 @@ def test_config_overrides_flags(runner, tmp_path):
     ["two-sided", "--half", "64", "--thresholds", "1/2,1/1099511627776"],
     ["two-sided", "--half", "8"],
     ["two-sided", "--past-word", "01", "--future-word", "01", "--half", "8"],
+    ["metric-axioms", "--k-hi", "100"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -196,6 +211,8 @@ def test_library_value_errors_exit_two(runner, tmp_path, args):
                 "steps: none of 1 candidates decays through "
                 "['1/1099511627776']") in result.output
         assert "'1/2'" not in result.output
+    if args[0] == "metric-axioms":
+        assert "k_hi=100 exceeds enumeration bound 50" in result.output
     if args[-2:] == ["--half", "8"]:
         assert ("past tail of 8 steps is too short to limit-trace" in
                 result.output)
