@@ -55,7 +55,6 @@ from nexpansive.chains import (
 )
 from nexpansive.shadowing import (
     PseudoOrbit,
-    Specification,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,

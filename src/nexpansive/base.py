@@ -283,48 +283,69 @@ def first_mismatch_bwd(x, y, start=-1):
 def mismatch_radius(x, y):
     """The least |i| with x[i] != y[i], or None when x == y.
 
-    One outward scan: a probe compares x and y on [-_PROBE, _PROBE], and
-    each later round doubles the radius and compares only the two new
-    stretches; the nearest mismatch is read off the XOR of the words that
-    differ. Past the probe each side stops at its Fine and Wilf cap,
-    right_cap(x, y, 0) and left_cap(x, y, -1), as in first_mismatch_fwd
-    and _bwd. A mismatch at distance at most r therefore lies in the capped
-    window, and the cost grows with the distance to the nearer mismatch,
-    not the farther one.
+    One outward scan: each round compares x and y on [-r, r] and reads the
+    nearest mismatch off the XOR of the two words; r starts at _PROBE and
+    doubles. Past the probe the window is clipped at the Fine and Wilf
+    caps right_cap(x, y, 0) and left_cap(x, y, -1), as in
+    first_mismatch_fwd and _bwd. The nearest mismatch on each side lies
+    inside its cap, so a mismatch at distance at most r lies in the
+    clipped window, and the cost grows with the distance to the nearer
+    mismatch, not the farther one.
     """
     if x == y:
         return None
     if x[0] != y[0]:
         return 0
-    r = _PROBE
-    xs, ys = x.window(-r, r + 1), y.window(-r, r + 1)
-    if xs != ys:
-        # bit i of the XOR stands for index r - i; index 0 agrees
-        mask = _diff_bits(xs, ys)
-        ahead, behind = mask & ((1 << r) - 1), mask >> r
-        if not behind:
-            return r + 1 - ahead.bit_length()
-        back = (behind & -behind).bit_length() - 1
-        return min(back, r + 1 - ahead.bit_length()) if ahead else back
-    # the last index each side must read; a cap inside the probe is done
-    right = max(r, right_cap(x, y, 0) - 1)
-    left = min(-r, left_cap(x, y, -1))
-    lo, hi = -r, r  # x and y agree on [lo, hi]
-    while lo > left or hi < right:
-        r *= 2
-        a, b = max(-r, left), min(r, right)
+    lo, hi, left = -_PROBE, _PROBE, None
+    while True:
+        xs, ys = x.window(lo, hi + 1), y.window(lo, hi + 1)
+        if xs != ys:
+            # bit i of the XOR stands for index hi - i; index 0 agrees
+            mask = _diff_bits(xs, ys)
+            ahead, behind = mask & ((1 << hi) - 1), mask >> hi
+            if not behind:
+                return hi + 1 - ahead.bit_length()
+            back = (behind & -behind).bit_length() - 1
+            return min(back, hi + 1 - ahead.bit_length()) if ahead else back
+        if left is None:  # the caps cost more than most probes
+            left = min(lo, left_cap(x, y, -1))
+            right = max(hi, right_cap(x, y, 0) - 1)
+        if lo == left and hi == right:
+            return None
+        lo, hi = max(2 * lo, left), min(2 * hi, right)
+
+
+def nearest_mismatches(y, z, times):
+    """For each of the increasing times t, the least |j - t| with y[j] != z[j].
+
+    y and z must differ. One XOR of the two words over [lo, hi), the span
+    of the times, marks the mismatches inside it: bit b stands for index
+    hi - 1 - b. The bits up to b_t = hi - 1 - t hold the mismatches at or
+    after t, the nearest one being the highest of them, and the bits from
+    b_t on hold those at or before t, the nearest being the lowest. One
+    mismatch search past each edge, bounded by Fine and Wilf, covers the
+    rest of the line.
+    """
+    lo, hi = times[0], times[-1] + 1
+    mask = _diff_bits(y.window(lo, hi), z.window(lo, hi))
+    right = first_mismatch_fwd(y, z, hi)
+    left = first_mismatch_bwd(y, z, lo - 1)
+    out = []
+    for t in times:
+        b = hi - 1 - t
         gaps = []
-        xs, ys = x.window(hi + 1, b + 1), y.window(hi + 1, b + 1)
-        if xs != ys:  # bit i stands for index b - i
-            gaps.append(b + 1 - _diff_bits(xs, ys).bit_length())
-        xs, ys = x.window(a, lo), y.window(a, lo)
-        if xs != ys:  # bit i stands for index lo - 1 - i
-            bits = _diff_bits(xs, ys)
-            gaps.append((bits & -bits).bit_length() - lo)
-        if gaps:
-            return min(gaps)
-        lo, hi = a, b
-    return None
+        if right is not None:
+            gaps.append(right - t)
+        if left is not None:
+            gaps.append(t - left)
+        after = mask & ((2 << b) - 1)
+        if after:
+            gaps.append(b + 1 - after.bit_length())
+        before = mask >> b
+        if before:
+            gaps.append((before & -before).bit_length() - 1)
+        out.append(min(gaps))
+    return out
 
 
 def base_dist(x, y):

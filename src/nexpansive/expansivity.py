@@ -40,10 +40,10 @@ from nexpansive.space import (
     AugPoint,
     BasePoint,
     ExtraPoint,
-    aug_dist,
     aug_iterate,
     canonical_key,
     level_gap,
+    orbit_dists,
     orbit_label,
     project,
     residual_radius,
@@ -153,9 +153,10 @@ def _cluster(sys, k, j):
 
 
 def window_sup_dist(x, y, horizon):
-    """max of d(f^t x, f^t y) over |t| <= horizon; a lower bound for the sup."""
-    return max(aug_dist(aug_iterate(x, t), aug_iterate(y, t))
-               for t in range(-horizon, horizon + 1))
+    """max of d(f^t x, f^t y) over |t| <= horizon, a lower bound for the
+    sup: one orbit_dists sweep of x over y's orbit segment."""
+    segment = [aug_iterate(y, t) for t in range(-horizon, horizon + 1)]
+    return max(orbit_dists(x, segment, -horizon))
 
 
 def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32):

@@ -23,9 +23,9 @@ from nexpansive.base import (
 from nexpansive.space import (
     BasePoint,
     ExtraPoint,
-    aug_dist,
     aug_map,
     canonical_key,
+    dist_below,
     orbit_label,
     project,
 )
@@ -143,7 +143,7 @@ def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
                 nxt = BasePoint(assemble(nxt.seq, cut, "", cut, target, 0))
             elif roll < 0.6 and label is None:
                 tail = BiSeq(nxt.seq.right, "", nxt.seq.right, nxt.seq.core_end)
-                if aug_dist(BasePoint(tail), nxt) < bound:
+                if dist_below(BasePoint(tail), nxt, bound):
                     nxt = BasePoint(tail)
         pts.append(nxt)
     return PseudoOrbit(tuple(pts[:length]), bound)

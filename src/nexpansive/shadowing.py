@@ -4,19 +4,21 @@ Every engine here returns a point whose tracking quality has been verified
 index by index in exact arithmetic before it is handed back; the verifier
 is part of the postcondition, not an afterthought. A bound is checked on
 the window it fixes: a base distance is below 2**-e exactly when the two
-sequences agree on [-e, e], so jump and tracking bounds compare windows
-and exact distances are computed only where they are reported (failed
-checks, verify_shadow and the decay lists). Finite prefixes stand in
-for infinite data throughout: a limit statement is always checked as a
-schedule of thresholds with recorded achievement indices, and schedules are
-caller data, never invented here.
+sequences agree on [-e, e], so jump, tracking and specification bounds
+compare windows and exact distances are computed only where they are
+reported (failed checks, verify_shadow and the decay lists). Finite
+prefixes stand in for infinite data throughout: a limit statement is
+always checked as a schedule of thresholds with recorded achievement
+indices, all read off one pass over the distances (_decay), and schedules
+are caller data, never invented here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from nexpansive.base import (HALF, agree_radius, base_shadow, dyadic,
                              glue_specification)
@@ -172,40 +174,6 @@ class PseudoOrbit:
     def at(self, time):
         return self.points[time - self.start]
 
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class Specification:
-    """Finitely many orbit segments pinned to disjoint time intervals.
-
-    intervals[i] = (a, b) prescribes the orbit of points[i] on [a, b]; at
-    time t in that interval the target is the (t - a)-th image of the
-    segment point.
-    """
-
-    intervals: tuple
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "intervals",
-                           tuple((int(a), int(b)) for a, b in self.intervals))
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.intervals) != len(self.points) or not self.intervals:
-            raise ValueError("need one orbit point per interval")
-        prev = None
-        for a, b in self.intervals:
-            if a > b:
-                raise ValueError(f"interval ({a}, {b}) is empty")
-            if prev is not None and a <= prev:
-                raise ValueError("intervals must be disjoint and increasing")
-            prev = b
-
-    def target(self, i, t):
-        a, _ = self.intervals[i]
-        return aug_iterate(self.points[i], t - a)
-
 
 @dataclass(frozen=True)
 class ShadowCheck:
@@ -223,12 +191,10 @@ def verify_shadow(po, y, eps):
     index and its exact distance. The comparison is non-strict so that eps
     equal to the diameter accepts every point.
     """
-    worst_i, worst_d = 0, Fraction(0)
-    for t, d in enumerate(orbit_dists(y, po.points, po.start)):
-        if d > worst_d:
-            worst_i, worst_d = t, d
-    return ShadowCheck(ok=worst_d <= eps, eps=eps,
-                       worst_index=worst_i, worst_dist=worst_d)
+    dists = orbit_dists(y, po.points, po.start)
+    worst = max(dists)
+    return ShadowCheck(ok=worst <= eps, eps=eps,
+                       worst_index=dists.index(worst), worst_dist=worst)
 
 
 def shadow_pseudo_orbit(po, eps):
@@ -283,34 +249,37 @@ def specification_spacing(eps):
     return 2 * agree_radius(eps, False) + 1
 
 
-def shadow_specification(spec, eps):
-    """A single point tracing every segment of the specification within eps.
+def shadow_specification(segments, eps):
+    """A single point tracing every glue segment ((a, b), point) within eps:
+    at each time t in [a, b] the target is aug_iterate(point, t - a).
 
-    Gluing happens in the base, where distant coordinate windows are
+    Gluing happens in the base (glue_specification, which rejects empty
+    and unordered intervals), where distant coordinate windows are
     independent; satellite points are isolated by 1/k and cannot be glued
-    below that, so they are rejected. The returned point is verified at
-    every in-interval time, strictly within eps.
+    below that, so they are rejected. The returned point is verified
+    strictly within eps on one window per interval: the segment's own on
+    [a, b], widened by m - 1 for m = agree_radius(eps, True).
     """
-    for p in spec.points:
+    for _, p in segments:
         if isinstance(p, ExtraPoint):
             raise IsolationError(
                 f"{p} is isolated at distance 1/{p.k}; specifications must "
                 "use base points")
     spacing = specification_spacing(eps)
     prev = None
-    for a, b in spec.intervals:
+    for (a, b), _ in segments:
         if prev is not None and a < prev + spacing:
             raise ScheduleError(
                 f"intervals must be {spacing}-spaced for eps={eps}")
         prev = b
-    segments = [((a, b), p.seq) for (a, b), p in zip(spec.intervals, spec.points)]
-    glued = BasePoint(glue_specification(segments, spacing))
-    for i, (a, b) in enumerate(spec.intervals):
-        for t in range(a, b + 1):
-            d = aug_dist(aug_iterate(glued, t), spec.target(i, t))
-            if d >= eps:  # pragma: no cover - the widened copy forbids this
-                raise RuntimeError(f"specification trace failed at time {t}: {d}")
-    return glued
+    glued = glue_specification([(ab, p.seq) for ab, p in segments], spacing)
+    m = agree_radius(eps, True)
+    for (a, b), p in segments:
+        # the widened copy forbids a failure here
+        if glued.window(a - m + 1, b + m) != p.seq.window(1 - m, b - a + m):
+            raise RuntimeError(  # pragma: no cover
+                f"specification trace failed on [{a}, {b}]")
+    return BasePoint(glued)
 
 
 @dataclass(frozen=True)
@@ -330,21 +299,20 @@ class LimitShadowReport:
     candidates: tuple     # canonical keys of the representatives tried
 
 
-def _decay_index(dists, threshold):
-    """First index from which every listed distance stays strictly below
-    threshold, or None.
+def _decay(dists, thresholds):
+    """((threshold, first index), ...): for each threshold, the first index
+    from which every listed distance stays strictly below it, or None.
 
-    The bound must be maintained over at least two trailing entries; a
-    single matching value at the very end is no evidence of decay (the
-    traced point always agrees with the final pseudo-orbit entry by
-    construction).
+    The suffix maxima, read from the end, do not decrease, so the number
+    of them below a threshold is the length of the longest tail below it.
+    That tail must hold at least two entries; a single matching value at
+    the very end is no evidence of decay (the traced point always agrees
+    with the final pseudo-orbit entry by construction).
     """
-    cut = len(dists)
-    for t in range(len(dists) - 1, -1, -1):
-        if dists[t] >= threshold:
-            break
-        cut = t
-    return cut if cut <= len(dists) - 2 else None
+    tops = list(accumulate(reversed(dists), max))
+    tails = [bisect_left(tops, th) for th in thresholds]
+    return tuple((th, len(dists) - n if n >= 2 else None)
+                 for th, n in zip(thresholds, tails))
 
 
 def _check_thresholds(thresholds):
@@ -382,21 +350,18 @@ def limit_shadow(sys, lpo, thresholds=None):
             break
         start = entry[0]
         tail = PseudoOrbit.trusted(pts[start:], mod.delta)
-        traced = shadow_pseudo_orbit(tail, res)
-        stages.append({"res": res, "start": start, "bound": mod.delta,
-                       "pullback": aug_iterate(traced, -start)})
+        stages.append((res, start, mod.delta, shadow_pseudo_orbit(tail, res)))
     if len(stages) < 3:
         raise ScheduleError(
             "prefix too short relative to the schedule: "
             f"only {len(stages)} usable stages")
-    first = stages[0]["pullback"]
+    # a stage's point sits at its start; stage 1's, at time 0, is the reference
+    first = aug_iterate(stages[0][3], -stages[0][1])
     stage_reports = tuple(
-        LimitStage(resolution=st["res"], start_index=st["start"],
-                   gap_bound=st["bound"],
+        LimitStage(resolution=res, start_index=start, gap_bound=bound,
                    consistent=in_local_stable(
-                       aug_iterate(st["pullback"], st["start"]),
-                       aug_iterate(first, st["start"]), AMBIENT))
-        for st in stages)
+                       traced, aug_iterate(first, start), AMBIENT))
+        for res, start, bound, traced in stages)
     try:
         stab, _ = stabilization_index(sys, first, AMBIENT, 16)
     except StabilizationNotReached:
@@ -408,8 +373,7 @@ def limit_shadow(sys, lpo, thresholds=None):
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
     missed = set(thresholds)
     for cand in candidates:
-        dists = orbit_dists(cand, pts)
-        decay = tuple((th, _decay_index(dists, th)) for th in thresholds)
+        decay = _decay(orbit_dists(cand, pts), thresholds)
         if all(idx is not None for _, idx in decay):
             break
         missed &= {th for th, idx in decay if idx is None}
@@ -474,26 +438,20 @@ def _trace_half(sys, lpo, thresholds, side):
             f"{exc}") from None
 
 
-def _tail_floor(idx, side, bound):
-    if idx is None:
-        raise ScheduleError(
-            f"{side} tail never comes within the gluing bound {bound}")
-    return idx
-
-
 def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
                                                    HALF ** 4)):
     """Trace a two-sided limit pseudo-orbit with both tails vanishing.
 
     The past half (run backwards through the mirror conjugacy) and the
     future half are limit-traced separately. When both traced points are
-    base points they are glued: a two-interval specification pins the
-    backward orbit of the past point and the forward orbit of the future
-    point at times -N and N, the specification is traced in the base, and
-    the resulting three-piece pseudo-orbit is traced at the smaller of the
-    two uniform local-stable radii. That radius forces the final point
-    into the unstable set of the past point and the stable set of the
-    future point, which is verified exactly, as are the requested decay
+    base points they are glued: two one-time segments pin the past
+    point's orbit at time -N and the future point's at time N, N the
+    junction from which both tails stay within the gluing bound,
+    shadow_specification glues them in the base, and the resulting
+    three-piece pseudo-orbit is traced at the smaller of the two uniform
+    local-stable radii. That radius forces the final point into the
+    unstable set of the past point and the stable set of the future
+    point, which is verified exactly, as are the requested decay
     thresholds on both tails.
 
     A pair of tails falling into one and the same satellite orbit is
@@ -524,18 +482,20 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
         delta = shadow_modulus(eps).delta
         glue_eps = delta / 4
         spacing = specification_spacing(glue_eps)
-        past_d, fut_d = _tail_dists(tslpo, p1, p2)
-        junction = max(_tail_floor(_decay_index(past_d, delta), "past", delta),
-                       _tail_floor(_decay_index(fut_d, delta), "future", delta),
-                       (spacing + 1) // 2)
+        junction = (spacing + 1) // 2
+        for side, dists in zip(("past", "future"), _tail_dists(tslpo, p1, p2)):
+            [(_, idx)] = _decay(dists, (delta,))
+            if idx is None:
+                raise ScheduleError(
+                    f"{side} tail never comes within the gluing bound {delta}")
+            junction = max(junction, idx)
         if junction > min(-tslpo.start, tslpo.end) - 1:
             raise ScheduleError(
                 f"window too short: gluing needs both tails within "
                 f"{delta} by time {junction}")
-        spec = Specification(((-junction, -junction), (junction, junction)),
-                             (aug_iterate(p1, -junction),
-                              aug_iterate(p2, junction)))
-        z = shadow_specification(spec, glue_eps)
+        z = shadow_specification(
+            [((-junction, -junction), aug_iterate(p1, -junction)),
+             ((junction, junction), aug_iterate(p2, junction))], glue_eps)
         glued = []
         for t in range(tslpo.start, tslpo.end + 1):
             if t < -junction:
@@ -549,9 +509,8 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")
-    past_final, fut_final = _tail_dists(tslpo, final, final)
-    past_decay = [(th, _decay_index(past_final, th)) for th in thresholds]
-    future_decay = [(th, _decay_index(fut_final, th)) for th in thresholds]
+    past_decay, future_decay = (_decay(dists, thresholds)
+                                for dists in _tail_dists(tslpo, final, final))
     for side, decay in (("past", past_decay), ("future", future_decay)):
         missing = [str(th) for th, idx in decay if idx is None]
         if missing:
@@ -560,5 +519,4 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     return TwoSidedShadowReport(
         point=final, past_point=p1, future_point=p2,
         eps=eps, delta=delta, glue_eps=glue_eps, spacing=spacing,
-        junction=junction,
-        past_decay=tuple(past_decay), future_decay=tuple(future_decay))
+        junction=junction, past_decay=past_decay, future_decay=future_decay)

@@ -28,12 +28,10 @@ from fractions import Fraction
 
 from nexpansive.base import (
     BiSeq,
-    _diff_bits,
     agree_radius,
     dyadic,
-    first_mismatch_bwd,
-    first_mismatch_fwd,
     mismatch_radius,
+    nearest_mismatches,
     periodic_point,
 )
 
@@ -226,7 +224,7 @@ def orbit_dists(y, points, start=0):
     i is 2**-r with r the least |j - t| over the mismatch set
     {j : y[j] != z[j]} of z = project(points[i]).shift(-t). Every index
     riding one orbit has the same canonical z, so each group of indices
-    costs one sweep of _nearest_mismatches, not one base_dist per index.
+    costs one sweep of base.nearest_mismatches, not one base_dist per index.
     A satellite y is compared index by index.
     """
     if isinstance(y, ExtraPoint):
@@ -240,7 +238,7 @@ def orbit_dists(y, points, start=0):
         if z == y.seq:
             rs = [None] * len(members)
         else:
-            rs = _nearest_mismatches(y.seq, z, [start + i for i in members])
+            rs = nearest_mismatches(y.seq, z, [start + i for i in members])
         for i, r in zip(members, rs):
             out[i] = _dist(r, *tag_levels(y, points[i]))
     return out
@@ -288,39 +286,6 @@ def _run_agrees(seq, z, m, lo, hi):
     if m < 0:
         return False
     return seq.window(lo - m + 1, hi + m) == z.window(lo - m + 1, hi + m)
-
-
-def _nearest_mismatches(y, z, times):
-    """For each of the increasing times t, the least |j - t| with y[j] != z[j].
-
-    y and z must differ. One XOR of the two words over [lo, hi), the span
-    of the times, marks the mismatches inside it: bit b stands for index
-    hi - 1 - b. The bits up to b_t = hi - 1 - t hold the mismatches at or
-    after t, the nearest one being the highest of them, and the bits from
-    b_t on hold those at or before t, the nearest being the lowest. One
-    mismatch search past each edge, bounded by Fine and Wilf, covers the
-    rest of the line.
-    """
-    lo, hi = times[0], times[-1] + 1
-    mask = _diff_bits(y.window(lo, hi), z.window(lo, hi))
-    right = first_mismatch_fwd(y, z, hi)
-    left = first_mismatch_bwd(y, z, lo - 1)
-    out = []
-    for t in times:
-        b = hi - 1 - t
-        gaps = []
-        if right is not None:
-            gaps.append(right - t)
-        if left is not None:
-            gaps.append(t - left)
-        after = mask & ((2 << b) - 1)
-        if after:
-            gaps.append(b + 1 - after.bit_length())
-        before = mask >> b
-        if before:
-            gaps.append((before & -before).bit_length() - 1)
-        out.append(min(gaps))
-    return out
 
 
 def tail_label(seq):

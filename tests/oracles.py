@@ -209,6 +209,18 @@ def brute_orbit_dists(y, points, start=0):
             for i, x in enumerate(points)]
 
 
+def brute_decay_index(dists, threshold):
+    """First index from which every listed distance stays strictly below
+    threshold, or None when that tail holds fewer than two entries; a
+    backward scan with one comparison per entry."""
+    cut = len(dists)
+    for t in range(len(dists) - 1, -1, -1):
+        if dists[t] >= threshold:
+            break
+        cut = t
+    return cut if cut <= len(dists) - 2 else None
+
+
 def brute_chain_graph(sample, eps):
     """The chain graph by testing aug_dist(f(u), v) < eps on every pair,
     as a ChainGraph without hubs: out[u] is the adjacency of u."""

@@ -7,6 +7,9 @@ module other than imports, and every name that the benchmark harnesses
 under ``perfbench/`` and ``bench/`` mention, including the dotted names
 in their string constants (``perfbench/tracing.py`` binds functions that
 way). Tests and ``__init__.py`` re-exports do not keep a name alive.
+
+Nor does a module import a name it never reads: an import left behind
+after its last reader is gone fails here too.
 """
 
 import ast
@@ -83,6 +86,26 @@ def unreached_definitions(package=PACKAGE, root=ROOT):
                   if name not in reached for module, _ in entries)
 
 
+def unread_imports(package=PACKAGE):
+    """Sorted "module.name" of every name a module of the package (other
+    than ``__init__.py``) binds by an import and never reads."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                bound.update(a.asname or a.name.split(".")[0]
+                             for a in node.names)
+        out.extend(f"{path.stem}.{name}" for name in bound - read)
+    return sorted(out)
+
+
 def test_every_definition_is_reached():
     unreached = unreached_definitions()
     assert not unreached, "nothing reaches " + ", ".join(unreached)
@@ -104,3 +127,20 @@ def test_walk_names_only_the_unreached(tmp_path):
     (tmp_path / "perfbench" / "tracing.py").write_text(
         'FUNCTIONS = (("lib", "nexpansive.lib.bound"),)\n')
     assert unreached_definitions(package, tmp_path) == ["lib.orphan"]
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, "imported and never read: " + ", ".join(unread)
+
+
+def test_unread_imports_names_only_the_unread(tmp_path):
+    package = tmp_path / "nexpansive"
+    package.mkdir()
+    (package / "__init__.py").write_text("from nexpansive.lib import kept\n")
+    (package / "lib.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import functools\nimport os.path\nimport random as rnd\n"
+        "from fractions import Fraction\nfrom math import gcd, lcm\n\n\n"
+        "@functools.cache\ndef kept(x: Fraction):\n    return gcd(x, 2)\n")
+    assert unread_imports(package) == ["lib.lcm", "lib.os", "lib.rnd"]

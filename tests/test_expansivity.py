@@ -37,6 +37,7 @@ from oracles import (
     brute_stable_classes,
     brute_sup_forward,
     brute_sup_orbit,
+    brute_sup_window,
     pair_horizon,
 )
 
@@ -206,6 +207,23 @@ class TestDynamicBalls:
                 sup = brute_sup_orbit(x, y)
                 assert window_sup_dist(x, y, h) == sup
                 assert window_sup_dist(x, y, 2) <= sup
+
+    @pytest.mark.parametrize("horizon", [0, 1, 4, 13])
+    def test_window_sup_matches_brute(self, sys3, horizon):
+        # base pairs, satellites at one orbit position (with the base point
+        # under them) and satellites at different positions and levels
+        base = [BasePoint(periodic_point(3)), BasePoint(BiSeq("0")),
+                BasePoint(flip_symbol(periodic_point(5), -3)),
+                BasePoint(BiSeq("01", "1", "0", -2))]
+        same = [ExtraPoint(1, 5, 2), ExtraPoint(2, 5, 2),
+                BasePoint(periodic_point(5).shift(2))]
+        different = [ExtraPoint(1, 5, 0), ExtraPoint(2, 3, 1),
+                     ExtraPoint(1, 8, 7)]
+        pts = base + same + different
+        for x in pts:
+            for y in pts:
+                assert window_sup_dist(x, y, horizon) == brute_sup_window(
+                    x, y, -horizon, horizon), (x, y)
 
 
 class TestExpansivityCertificates:

@@ -21,7 +21,7 @@ from nexpansive.shadowing import (
     IsolationError,
     PseudoOrbit,
     ScheduleError,
-    Specification,
+    _decay,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,
@@ -36,7 +36,7 @@ from nexpansive.samples import (
     piecewise_periodic,
     switching_limit_orbit,
 )
-from oracles import brute_schedule_ok
+from oracles import brute_decay_index, brute_schedule_ok
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -173,8 +173,11 @@ class TestPseudoOrbitTypes:
 
     def test_specification_ordering(self):
         zero = BasePoint(BiSeq("0"))
-        with pytest.raises(ValueError):
-            Specification(((0, 3), (2, 5)), (zero, zero))
+        for segments in ([((0, 3), zero), ((2, 5), zero)],
+                         [((4, 5), zero), ((0, 1), zero)],
+                         [((3, 1), zero)], []):
+            with pytest.raises(ValueError):
+                shadow_specification(segments, Fraction(2))
 
 
 class TestStandardShadowing:
@@ -232,25 +235,44 @@ class TestStandardShadowing:
         assert verify_shadow(po, ExtraPoint(1, 1, 0), Fraction(3)).ok
 
 
+def assert_traces(traced, segments, eps):
+    """Every in-interval time is traced strictly within eps, checked by one
+    exact distance per time against aug_iterate(point, t - a)."""
+    for (a, b), point in segments:
+        for t in range(a, b + 1):
+            assert aug_dist(aug_iterate(traced, t),
+                            aug_iterate(point, t - a)) < eps, (a, b, t)
+
+
 class TestSpecificationShadowing:
     def test_single_interval(self, sys3):
-        x = BasePoint(BiSeq("011", "0", "10", 0))
-        spec = Specification(((-2, 4),), (x,))
-        traced = shadow_specification(spec, Fraction(1, 8))
-        for t in range(-2, 5):
-            assert aug_dist(aug_iterate(traced, t),
-                            spec.target(0, t)) < Fraction(1, 8)
+        segments = [((-2, 4), BasePoint(BiSeq("011", "0", "10", 0)))]
+        traced = shadow_specification(segments, Fraction(1, 8))
+        assert_traces(traced, segments, Fraction(1, 8))
 
     def test_two_intervals(self, sys3):
-        spec = Specification(((-8, -4), (5, 9)),
-                             (BasePoint(periodic_point(2)),
-                              BasePoint(periodic_point(1))))
-        traced = shadow_specification(spec, Fraction(1, 8))
+        segments = [((-8, -4), BasePoint(periodic_point(2))),
+                    ((5, 9), BasePoint(periodic_point(1)))]
+        traced = shadow_specification(segments, Fraction(1, 8))
         assert isinstance(traced, BasePoint)
-        for i, (a, b) in enumerate(spec.intervals):
-            for t in range(a, b + 1):
-                assert aug_dist(aug_iterate(traced, t),
-                                spec.target(i, t)) < Fraction(1, 8)
+        assert_traces(traced, segments, Fraction(1, 8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SCHEDULE_BOUNDS), st.data())
+    def test_random_segments_traced(self, eps, data):
+        # the window check of shadow_specification against one exact
+        # distance per time, at dyadic and non-dyadic eps
+        spacing = specification_spacing(eps)
+        segments, a = [], data.draw(st.integers(-20, 20))
+        for _ in range(data.draw(st.integers(1, 3))):
+            b = a + data.draw(st.integers(0, 6))
+            seq = BiSeq(data.draw(st.text("01", min_size=1, max_size=4)),
+                        data.draw(st.text("01", max_size=6)),
+                        data.draw(st.text("01", min_size=1, max_size=4)),
+                        data.draw(st.integers(-5, 5)))
+            segments.append(((a, b), BasePoint(seq)))
+            a = b + spacing + data.draw(st.integers(0, 3))
+        assert_traces(shadow_specification(segments, eps), segments, eps)
 
     def test_spacing_formula(self):
         assert specification_spacing(Fraction(1, 8)) == 7
@@ -258,16 +280,16 @@ class TestSpecificationShadowing:
         assert specification_spacing(Fraction(1, 5)) == 7
 
     def test_satellite_rejected(self, sys3):
-        spec = Specification(((0, 0), (40, 40)),
-                             (BasePoint(BiSeq("0")), ExtraPoint(1, 4, 0)))
+        segments = [((0, 0), BasePoint(BiSeq("0"))),
+                    ((40, 40), ExtraPoint(1, 4, 0))]
         with pytest.raises(IsolationError, match="1/4"):
-            shadow_specification(spec, Fraction(1, 8))
+            shadow_specification(segments, Fraction(1, 8))
 
     def test_crowded_intervals_rejected(self, sys3):
-        spec = Specification(((0, 0), (3, 3)),
-                             (BasePoint(BiSeq("0")), BasePoint(BiSeq("1"))))
+        segments = [((0, 0), BasePoint(BiSeq("0"))),
+                    ((3, 3), BasePoint(BiSeq("1")))]
         with pytest.raises(ScheduleError):
-            shadow_specification(spec, Fraction(1, 8))
+            shadow_specification(segments, Fraction(1, 8))
 
 
 class TestPiecewisePeriodic:
@@ -295,6 +317,34 @@ class TestPiecewisePeriodic:
         for t in range(boundaries[0] - 8, boundaries[-1] + 8):
             region = sum(1 for b in boundaries if b <= t)
             assert got[t] == seqs[region][t]
+
+
+# distances and thresholds share one pool: thresholds equal to entries, 0
+# and 1, dyadic and non-dyadic values
+DECAY_VALUES = (Fraction(0), Fraction(1), *(dyadic(e) for e in range(1, 6)),
+                Fraction(1, 3), Fraction(5, 48), Fraction(2, 7))
+
+
+class TestDecay:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(DECAY_VALUES), max_size=40),
+           st.lists(st.sampled_from((*DECAY_VALUES, Fraction(1, 2 ** 40))),
+                    max_size=6))
+    def test_matches_backward_scan(self, dists, thresholds):
+        assert _decay(dists, thresholds) == tuple(
+            (th, brute_decay_index(dists, th)) for th in thresholds)
+
+    @pytest.mark.parametrize("dists", [
+        [], [Fraction(0)], [Fraction(1)], [Fraction(0), Fraction(0)],
+        [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
+        [Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2)] * 5])
+    def test_two_trailing_entries(self, dists):
+        thresholds = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+        decay = _decay(dists, thresholds)
+        assert decay == tuple((th, brute_decay_index(dists, th))
+                              for th in thresholds)
+        for th, idx in decay:
+            assert idx is None or len(dists) - idx >= 2
 
 
 class TestLimitShadowing:
