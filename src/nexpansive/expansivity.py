@@ -43,12 +43,12 @@ from nexpansive.space import (
     aug_iterate,
     canonical_key,
     level_gap,
-    orbit_dists,
     orbit_label,
     project,
     residual_radius,
     tag_levels,
     tail_label,
+    window_sup_dist,
 )
 
 ONE = Fraction(1)
@@ -62,8 +62,6 @@ def limsup_forward_dist(x, y):
     vanishes in the limit; otherwise mismatches recur forever and the base
     part keeps hitting 1.
     """
-    if x == y:
-        return ZERO
     base = ZERO if right_tails_agree(project(x), project(y)) else ONE
     return level_gap(*tag_levels(x, y)) + base
 
@@ -82,13 +80,11 @@ def in_local_stable(y, x, eps):
     stops at right_cap(px, py, 0), past which that ray is decided (Fine
     and Wilf).
     """
-    if x == y:
-        return eps >= 0
     m = residual_radius(eps, *tag_levels(x, y), False)
     if m is None or m == 0:
         return m == 0
     px, py = project(x), project(y)
-    if m < 0:
+    if px == py or m < 0:
         return px == py
     hi = right_cap(px, py, 0)
     return px.window(1 - m, hi) == py.window(1 - m, hi)
@@ -152,13 +148,6 @@ def _cluster(sys, k, j):
             BasePoint(project(ExtraPoint(1, k, j)))]
 
 
-def window_sup_dist(x, y, horizon):
-    """max of d(f^t x, f^t y) over |t| <= horizon, a lower bound for the
-    sup: one orbit_dists sweep of x over y's orbit segment."""
-    segment = [aug_iterate(y, t) for t in range(-horizon, horizon + 1)]
-    return max(orbit_dists(x, segment, -horizon))
-
-
 def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32):
     """The set of points tracking the center's orbit within ``radius``.
 
@@ -181,7 +170,7 @@ def dynamic_ball(sys, center, radius, k_hi=None, mode="exact", horizon=32):
     elif mode == "horizon":
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        k_hi = sys.k_max if k_hi is None else k_hi
+        k_hi = sys.level_bound(k_hi)
         pool = {center}
         pool.update(sys.extra_points(k_hi))
         members = {}
@@ -393,22 +382,20 @@ class StabilizationNotReached(RuntimeError):
 def stabilization_index(sys, center, eps, m_hi):
     """Least iterate from which the stable-class count stays constant.
 
-    Scans n(f^t x, eps) for t in [0, m_hi] and returns (l, value) where the
-    count equals ``value`` on [l, m_hi]. Raises StabilizationNotReached when
-    the constant stretch is a single point, since then the window shows no
-    plateau at all.
+    Returns (l, value) where n(f^t x, eps) equals ``value`` for t in
+    [l, m_hi]. Along the orbit the count steps at most once, at the entry
+    time E of _stable_entry_time, so l is E when E < m_hi and 0 otherwise.
+    Raises StabilizationNotReached when E == m_hi, since then the window
+    shows no plateau at all.
     """
     if m_hi < 1:
         raise ValueError("m_hi must be >= 1")
-    counts = [stable_class_count(sys, aug_iterate(center, t), eps).count
-              for t in range(m_hi + 1)]
-    l = m_hi
-    while l > 0 and counts[l - 1] == counts[m_hi]:
-        l -= 1
-    if l == m_hi:
+    value = stable_class_count(sys, aug_iterate(center, m_hi), eps).count
+    entry = _stable_entry_time(center, eps, sys.multiplicity)
+    if entry == m_hi:
         raise StabilizationNotReached(
-            f"count still changing at iterate {m_hi}: {counts}")
-    return l, counts[m_hi]
+            f"count still changing at iterate {m_hi}")
+    return (entry if entry < m_hi else 0), value
 
 
 def orbit_stable_inclusion_failures(sys, center, eps, window=8):

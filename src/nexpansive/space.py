@@ -136,15 +136,17 @@ def level_gap(k, l=0):
 
 
 def tag_levels(x, y):
-    """The tag levels (k, l) of a distinct pair, 0 standing for a base point.
+    """The tag levels (k, l) of any pair, 0 standing for a base point.
 
-    Two satellites over one orbit position count their level once, so
-    level_gap(*tag_levels(x, y)) is the tag gap of the module docstring.
+    Two copies over one orbit position count their level once, and a point
+    has levels (0, 0) to itself, so level_gap(*tag_levels(x, y)) is the tag
+    gap of the module docstring and 0 for x == y. The levels of f^t x and
+    f^t y are the same at every time t.
     """
     if isinstance(x, ExtraPoint):
         if isinstance(y, ExtraPoint):
             if x.k == y.k and x.j == y.j:
-                return x.k, 0
+                return (0, 0) if x.i == y.i else (x.k, 0)
             return x.k, y.k
         return x.k, 0
     return 0, (y.k if isinstance(y, ExtraPoint) else 0)
@@ -163,9 +165,20 @@ def aug_dist(x, y):
     The sum is an exact table read keyed by ints (m and the tag levels),
     so no Fraction is built, added or hashed per call.
     """
-    if x == y:
-        return _ZERO
     return _dist(mismatch_radius(project(x), project(y)), *tag_levels(x, y))
+
+
+def window_sup_dist(x, y, horizon):
+    """max of aug_dist(f^t x, f^t y) over |t| <= horizon, a lower bound for
+    the sup over all times.
+
+    The tag levels of the pair are the same at every time, and with m the
+    mismatch radius of the projections, their nearest mismatch to any
+    |t| <= horizon lies max(0, m - horizon) away; so the value is one
+    mismatch scan and one table read, whatever the horizon.
+    """
+    m = mismatch_radius(project(x), project(y))
+    return _dist(None if m is None else max(0, m - horizon), *tag_levels(x, y))
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,7 +190,7 @@ def _residual(num, den, k, l, strict):
 
 
 def residual_radius(bound, k, l, strict):
-    """How far the projections of a distinct pair with tag levels k and l
+    """How far the projections of a pair with tag levels k and l
     must agree for aug_dist < bound (strict) or aug_dist <= bound.
 
     The base part, 2**-n with n the mismatch radius or 0 for equal
@@ -196,12 +209,11 @@ def dist_below(x, y, bound):
     the projections must agree on |j| < m for m = residual_radius(...);
     no distance is computed.
     """
-    if x == y:
-        return bound > 0
     m = residual_radius(bound, *tag_levels(x, y), True)
     if m is None:
         return False
-    return project(x).window(1 - m, m) == project(y).window(1 - m, m)
+    px, py = project(x), project(y)
+    return px == py or px.window(1 - m, m) == py.window(1 - m, m)
 
 
 def aug_map(x):
@@ -220,27 +232,27 @@ def aug_iterate(x, t):
 def orbit_dists(y, points, start=0):
     """The list of aug_dist(aug_iterate(y, start + i), points[i]).
 
-    For a base point y and the time t = start + i, the base part at index
-    i is 2**-r with r the least |j - t| over the mismatch set
-    {j : y[j] != z[j]} of z = project(points[i]).shift(-t). Every index
-    riding one orbit has the same canonical z, so each group of indices
-    costs one sweep of base.nearest_mismatches, not one base_dist per index.
-    A satellite y is compared index by index.
+    At the time t = start + i the base part is 2**-r with r the least
+    |j - t| over the mismatch set {j : project(y)[j] != z[j]} of
+    z = project(points[i]).shift(-t), and the tag levels are those of
+    points[i] to y's image at t (to y itself when y is a base point).
+    Every index riding one orbit has the same canonical z, so each group of
+    indices costs one sweep of base.nearest_mismatches, not one base_dist
+    per index.
     """
-    if isinstance(y, ExtraPoint):
-        return [aug_dist(aug_iterate(y, start + i), x)
-                for i, x in enumerate(points)]
+    py, ride = project(y), isinstance(y, ExtraPoint)
     groups = {}
     for i, x in enumerate(points):
         groups.setdefault(project(x).shift(-(start + i)), []).append(i)
     out = [None] * len(points)
     for z, members in groups.items():
-        if z == y.seq:
+        if z == py:
             rs = [None] * len(members)
         else:
-            rs = nearest_mismatches(y.seq, z, [start + i for i in members])
+            rs = nearest_mismatches(py, z, [start + i for i in members])
         for i, r in zip(members, rs):
-            out[i] = _dist(r, *tag_levels(y, points[i]))
+            at = aug_iterate(y, start + i) if ride else y
+            out[i] = _dist(r, *tag_levels(at, points[i]))
     return out
 
 
@@ -248,21 +260,19 @@ def orbit_within(y, points, start, eps):
     """True when every entry of orbit_dists(y, points, start) is <= eps.
 
     At the time t = start + i with z = project(points[i]).shift(-t), the
-    entry is at most eps exactly when y.seq and z agree on |j - t| < m,
-    with m = residual_radius(eps, *tag_levels(y, points[i]), False). A
-    maximal run of indices with the same z and m is checked on one window,
-    its times widened by m - 1 on each side. A satellite y is compared
-    through orbit_dists.
+    entry is at most eps exactly when project(y) and z agree on |j - t| < m,
+    with m = residual_radius(eps, k, l, False) for the tag levels (k, l)
+    that orbit_dists reads at t; None fails at once. A maximal run of
+    indices with the same z and m is checked on one window, its times
+    widened by m - 1 on each side.
     """
-    if isinstance(y, ExtraPoint):
-        return all(d <= eps for d in orbit_dists(y, points, start))
-    if eps < 0:
-        return not points
-    seq, num, den = y.seq, eps.numerator, eps.denominator
+    seq, ride = project(y), isinstance(y, ExtraPoint)
+    num, den = eps.numerator, eps.denominator
     run = None  # [z, m, first time, last time]
     for i, x in enumerate(points):
         t = start + i
-        m = _residual(num, den, *tag_levels(y, x), False)
+        at = aug_iterate(y, t) if ride else y
+        m = _residual(num, den, *tag_levels(at, x), False)
         if m is None:
             return False
         z = project(x).shift(-t)

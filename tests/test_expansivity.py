@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexpansive.base import BiSeq, flip_symbol, periodic_orbit, periodic_point
+from nexpansive import space
+from nexpansive.base import (
+    BiSeq,
+    assemble,
+    flip_symbol,
+    periodic_orbit,
+    periodic_point,
+)
 from nexpansive.space import (
+    VARIANTS,
     AugSystem,
     BasePoint,
     ExtraPoint,
@@ -14,6 +22,7 @@ from nexpansive.space import (
     aug_map,
     canonical_key,
     orbit_label,
+    window_sup_dist,
 )
 from nexpansive.expansivity import (
     ExpansivityCertificate,
@@ -28,7 +37,6 @@ from nexpansive.expansivity import (
     lower_expansivity_falsifier,
     stabilization_index,
     stable_class_count,
-    window_sup_dist,
     _stable_candidates,
 )
 from nexpansive.samples import construction_sample, random_point, window_probe
@@ -42,6 +50,7 @@ from oracles import (
 )
 
 QUARTER = Fraction(1, 4)
+HALF = Fraction(1, 2)
 
 
 def mixed_points(sys, seed, count=12):
@@ -104,8 +113,16 @@ class TestLocalStableSets:
         assert in_local_stable(y, x, eps) == (brute_sup_forward(y, x) <= eps)
 
     def test_reflexive(self, sys3):
-        x = BasePoint(periodic_point(4))
-        assert in_local_stable(x, x, Fraction(0))
+        # every point kind is in its own local stable set at every eps >= 0,
+        # and a copy over the same position stays 1/k away
+        for x in mixed_points(sys3, 67, count=4):
+            for eps in EPSILONS:
+                assert in_local_stable(x, x, eps) == (eps >= 0), (x, eps)
+            if isinstance(x, ExtraPoint):
+                copy = ExtraPoint(3 - x.i, x.k, x.j)
+                for eps in EPSILONS:
+                    assert in_local_stable(copy, x, eps) == (
+                        eps >= Fraction(1, x.k)), (x, eps)
 
     def test_satellite_sits_on_the_boundary(self):
         for k in (3, 5, 8):
@@ -208,7 +225,7 @@ class TestDynamicBalls:
                 assert window_sup_dist(x, y, h) == sup
                 assert window_sup_dist(x, y, 2) <= sup
 
-    @pytest.mark.parametrize("horizon", [0, 1, 4, 13])
+    @pytest.mark.parametrize("horizon", [0, 1, 4, 13, 40])
     def test_window_sup_matches_brute(self, sys3, horizon):
         # base pairs, satellites at one orbit position (with the base point
         # under them) and satellites at different positions and levels
@@ -224,6 +241,21 @@ class TestDynamicBalls:
             for y in pts:
                 assert window_sup_dist(x, y, horizon) == brute_sup_window(
                     x, y, -horizon, horizon), (x, y)
+
+    def test_builds_without_orbit_sweeps(self, sys3, monkeypatch):
+        # a window supremum is one mismatch scan, so no orbit segment is
+        # swept, whatever the horizon and whichever the center's kind
+        def refuse(*args):
+            raise AssertionError("orbit_dists called")
+
+        monkeypatch.setattr(space, "orbit_dists", refuse)
+        radius = Fraction(3, 4)
+        for center in (BasePoint(periodic_point(5)), ExtraPoint(1, 5, 0)):
+            ball = dynamic_ball(sys3, center, radius, mode="horizon",
+                                horizon=200)
+            assert center in ball.members and len(ball) >= 2
+            for y, d in zip(ball.members, ball.distances):
+                assert d == brute_sup_window(center, y, -200, 200) <= radius
 
 
 class TestExpansivityCertificates:
@@ -411,6 +443,51 @@ class TestStableRadius:
                 assert rep.count == 1, (x, m)
 
 
+def scanned_stabilization(counts):
+    """The per-iterate scan stabilization_index replaced, given the counts
+    on [0, m_hi]: the plateau walked back from m_hi, as (l, value), or None
+    where the scan raised StabilizationNotReached."""
+    m_hi = len(counts) - 1
+    l = m_hi
+    while l > 0 and counts[l - 1] == counts[m_hi]:
+        l -= 1
+    return None if l == m_hi else (l, counts[m_hi])
+
+
+STABILIZATION_EPS = (Fraction(0), Fraction(1, 16), Fraction(1, 8),
+                     Fraction(3, 16), Fraction(1, 5), QUARTER, Fraction(1, 3),
+                     Fraction(9, 20))
+
+
+@st.composite
+def stabilization_cases(draw):
+    """(system, center, eps): a base point with flips near a tagged
+    periodic tail, a tagged tail assembled onto another sequence, or a
+    random point, in either variant at n from 1 to 3."""
+    system = AugSystem(draw(st.integers(1, 3)), draw(st.sampled_from(VARIANTS)))
+    k = draw(st.integers(1, 12))
+    tagged = periodic_point(k).shift(draw(st.integers(0, k)))
+    kind = draw(st.sampled_from(["flips", "assembled", "random"]))
+    if kind == "flips":
+        seq = tagged
+        for d in draw(st.lists(st.integers(-6, 18), max_size=3)):
+            seq = flip_symbol(seq, d)
+        center = BasePoint(seq)
+    elif kind == "assembled":
+        at = draw(st.integers(-6, 18))
+        left = BiSeq(draw(words), draw(cores), draw(words), draw(offsets))
+        center = BasePoint(assemble(left, at, "", at, tagged,
+                                    draw(st.integers(-3, 3))))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        center = random_point(system, rng, 12)
+    # eps just above the tag 1/k leaves a spare radius the flips can cross
+    spare = Fraction(1, k) + Fraction(1, 2 ** draw(st.integers(2, 7)))
+    eps = draw(st.sampled_from([*STABILIZATION_EPS,
+                                *([spare] * 4 if spare < HALF else [])]))
+    return system, center, eps
+
+
 class TestStabilization:
     def test_periodic_center_stabilizes_immediately(self, sys3):
         for k in (3, 5, 9):
@@ -439,3 +516,19 @@ class TestStabilization:
             stabilization_index(sys3, x, QUARTER, 6)
         l, value = stabilization_index(sys3, x, QUARTER, 12)
         assert (l, value) == (6, 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(stabilization_cases())
+    def test_matches_per_iterate_scan(self, case):
+        # one scan of the counts on [0, 16] serves every m_hi from 1 to 16
+        system, center, eps = case
+        counts = [stable_class_count(system, aug_iterate(center, t),
+                                     eps).count for t in range(17)]
+        for m_hi in range(1, 17):
+            want = scanned_stabilization(counts[:m_hi + 1])
+            if want is None:
+                with pytest.raises(StabilizationNotReached):
+                    stabilization_index(system, center, eps, m_hi)
+            else:
+                assert stabilization_index(system, center, eps,
+                                           m_hi) == want, m_hi

@@ -19,12 +19,14 @@ DIGESTS = Path(__file__).with_name("report_digests.json")
 
 # The README's commands, with the sizes of shadow, expansivity, two-sided
 # and metric-axioms cut so the whole table runs in a few seconds; classes
-# runs without --edges-csv, whose path the report would echo.
+# runs without --edges-csv, whose path the report would echo. The horizon
+# ball over a satellite center pins a satellite's window suprema.
 COMMANDS = [
     "construct --k-hi 12",
     "ball --center periodic:12 --radius 1/12",
     "ball --center extra:1,5,0 --radius 0/1",
     "ball --center periodic:5 --radius 1/5 --mode horizon --k-hi 8 --horizon 8",
+    "ball --center extra:1,5,0 --radius 3/4 --mode horizon --horizon 40",
     "expansivity --n 3 --c 1/4 --k-hi 10 --seed 7 --random-count 15",
     "classes --n 3 --k-hi 12 --eps 1/24",
     "shadow --orbits 20 --length 100 --delta-exp 6",

@@ -78,10 +78,18 @@ class TestSystemParameters:
 
 class TestMetric:
     def test_copies_at_tag_distance(self):
+        # a copy over the same position stays 1/k away; the point itself
+        # (satellite or base) is at 0
         for k in (3, 5, 9):
             for j in range(k + 1):
-                assert aug_dist(ExtraPoint(1, k, j),
-                                ExtraPoint(2, k, j)) == Fraction(1, k)
+                q, copy = ExtraPoint(1, k, j), ExtraPoint(2, k, j)
+                assert aug_dist(q, copy) == Fraction(1, k)
+                for x in (q, BasePoint(project(q))):
+                    assert aug_dist(x, x) == 0
+                for b in (Fraction(0), Fraction(1, k), Fraction(1, k + 1),
+                          Fraction(1, k - 1), Fraction(-1, 8)):
+                    assert dist_below(q, copy, b) == (Fraction(1, k) < b)
+                    assert dist_below(q, q, b) == (b > 0)
 
     def test_satellite_to_its_projection(self):
         assert aug_dist(ExtraPoint(1, 5, 0),
@@ -134,12 +142,16 @@ base_points = st.builds(
 def point_pairs(draw):
     """A pair of every kind in the metric's table: base/base, satellite and
     base (its own projection, a near copy of it, or any), two copies over
-    one position, and two satellites on the same or different orbits."""
+    one position, two satellites on the same or different orbits, and a
+    point of either kind with itself."""
     kind = draw(st.sampled_from(["base", "satellite-base", "copies",
-                                 "same-level", "orbits"]))
+                                 "same-level", "orbits", "self"]))
     if kind == "base":
         return draw(base_points), draw(base_points)
     q = draw(satellites)
+    if kind == "self":
+        x = draw(st.sampled_from([q, BasePoint(project(q))]) | base_points)
+        return x, x
     if kind == "satellite-base":
         near = flip_symbol(brute_tagged_point(q.k, q.j),
                            draw(st.integers(-20, 20)))
@@ -290,6 +302,17 @@ def test_canonical_key_orders_deterministically(sys3):
     assert keys[0].startswith("base:")
 
 
+def _mixed_riders(own, rng):
+    """A satellite's own orbit segment with some points swapped for its
+    copy, its base point or a flip of that base point."""
+    k = own[0].k
+    return [ExtraPoint(2, k, p.j) if rng.random() < 0.3 else
+            BasePoint(project(p)) if rng.random() < 0.2 else
+            BasePoint(flip_symbol(project(p), rng.randint(-8, 8)))
+            if rng.random() < 0.2 else p
+            for p in own]
+
+
 def _riders(points, start, picks):
     """The points whose orbits ride points[i] at time start + i."""
     return [aug_iterate(points[i % len(points)], -(start + i % len(points)))
@@ -340,10 +363,7 @@ class TestOrbitDists:
         rng = random.Random(seed)
         q = ExtraPoint(1, k, j % (k + 1))
         own = [aug_iterate(q, start + t) for t in range(length)]
-        mixed = [ExtraPoint(2, k, p.j) if rng.random() < 0.3 else
-                 BasePoint(project(p)) if rng.random() < 0.3 else p
-                 for p in own]
-        for pts in (own, mixed):
+        for pts in (own, _mixed_riders(own, rng)):
             assert orbit_dists(q, pts, start) == brute_orbit_dists(q, pts, start)
 
     @settings(max_examples=40, deadline=None)
@@ -355,11 +375,15 @@ class TestOrbitDists:
         y = random_point(sys3, rng, 10)
         pts = [aug_iterate(y, start + t) for t in range(length)]
         assert orbit_dists(y, pts, start) == [Fraction(0)] * length
+        # one index moves off: a flip of a base point, or a satellite's copy
+        # or base point at the same position
+        i = rng.randrange(length)
         if isinstance(y, BasePoint):
-            i = rng.randrange(length)
             pts[i] = BasePoint(flip_symbol(pts[i].seq, rng.randint(-9, 9)))
-            assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts,
-                                                                    start)
+        else:
+            pts[i] = rng.choice([ExtraPoint(3 - y.i, y.k, pts[i].j),
+                                 BasePoint(project(pts[i]))])
+        assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts, start)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["0", "01", "0010", "1"]), st.integers(-10, 10),
@@ -404,9 +428,11 @@ class TestDistBelow:
         rng = random.Random(seed)
         sys3 = AugSystem(3, "standard", 64)
         a, b, c = random_triple(sys3, rng, k_hi)
-        pairs = [(a, b), (b, c), (a, a), (aug_map(a), a),
+        pairs = [(a, b), (b, c), (a, a), (c, c), (aug_map(a), a),
                  (a, BasePoint(project(a))) if isinstance(a, ExtraPoint)
                  else (a, BasePoint(flip_symbol(a.seq, rng.randint(-9, 9))))]
+        if isinstance(a, ExtraPoint):
+            pairs.append((a, ExtraPoint(3 - a.i, a.k, a.j)))
         for x, y in pairs:
             d = aug_dist(x, y)
             for bound in _bounds_around([d, d / 2, 2 * d], [x, y]):
@@ -465,6 +491,18 @@ class TestOrbitWithin:
         for z in (y, far):
             self._agree(z, pts, start)
             self._agree(z, flipped, start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(-20, 20),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_satellite_y(self, k, j, start, length, seed):
+        # a satellite riding its own orbit: the tag levels are read at its
+        # image, so its own points sit at 0 and its copies at 1/k
+        rng = random.Random(seed)
+        q = ExtraPoint(1, k, j % (k + 1))
+        own = [aug_iterate(q, start + t) for t in range(length)]
+        for pts in (own, _mixed_riders(own, rng)):
+            self._agree(q, pts, start)
 
     def test_ties_and_zero_residual(self):
         y = BasePoint(periodic_point(4))
