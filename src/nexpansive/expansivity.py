@@ -14,8 +14,7 @@ the two projections disagree:
   bound on it on the window the bound fixes, without locating any
   mismatch;
 * along forward limits, the base part dies out exactly when the right
-  tails eventually agree, and otherwise keeps returning to 1
-  (limsup_forward_dist).
+  tails eventually agree, and otherwise keeps returning to 1.
 
 Those three facts make the reported sets exact whenever the radius stays
 below 1/2, the separation scale of the base shift. Below 1/2 the stable
@@ -51,19 +50,7 @@ from nexpansive.space import (
     window_sup_dist,
 )
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
-
-
-def limsup_forward_dist(x, y):
-    """Largest separation that recurs along forward time.
-
-    If the projections eventually share their right tails the base part
-    vanishes in the limit; otherwise mismatches recur forever and the base
-    part keeps hitting 1.
-    """
-    base = ZERO if right_tails_agree(project(x), project(y)) else ONE
-    return level_gap(*tag_levels(x, y)) + base
 
 
 def in_local_stable(y, x, eps):
@@ -360,8 +347,10 @@ def local_stable_radius(sys, center, eps):
     The count of stable classes stabilizes along the orbit; at the
     stabilized iterate, each competing class keeps a recurrent separation
     from the center, and a quarter of the smallest such separation is a
-    safe radius for every iterate. With no competitor anywhere on the
-    orbit the requested eps is already safe.
+    safe radius for every iterate. Below 1/2 every competitor shares the
+    center's right tail, so its base part dies out and the separation is
+    its tag gap. With no competitor anywhere on the orbit the requested
+    eps is already safe.
     """
     if not 0 < eps < HALF:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -370,7 +359,7 @@ def local_stable_radius(sys, center, eps):
     report = stable_class_count(sys, anchor, eps)
     if report.count == 1:
         return eps
-    seps = [limsup_forward_dist(z, anchor)
+    seps = [level_gap(*tag_levels(z, anchor))
             for z in report.representatives if z != anchor]
     return min(seps) / 4
 

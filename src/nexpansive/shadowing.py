@@ -16,7 +16,7 @@ are caller data, never invented here.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -49,11 +49,6 @@ from nexpansive.expansivity import (
 
 # The stable-set scale of the limit tracers; stage j traces at AMBIENT/(j+1).
 AMBIENT = Fraction(1, 4)
-
-
-class DichotomyError(ValueError):
-    """A tightly isolated satellite point appeared inside a pseudo-orbit
-    that does not follow its orbit; the chosen delta was too coarse."""
 
 
 class ScheduleError(ValueError):
@@ -104,26 +99,42 @@ def shadow_modulus(eps):
 def _normalize_schedule(schedule):
     if not isinstance(schedule, (tuple, list)):
         schedule = ((0, schedule),)
-    return tuple((int(k), Fraction(b)) for k, b in schedule)
+    schedule = tuple((int(k), Fraction(b)) for k, b in schedule)
+    if not schedule:
+        raise ValueError("schedule must not be empty")
+    ks = [k for k, _ in schedule]
+    bs = [b for _, b in schedule]
+    if ks[0] < 0 or any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError("schedule indices must be nonnegative and increasing")
+    if bs[-1] <= 0 or any(a <= b for a, b in zip(bs, bs[1:])):
+        raise ValueError("schedule bounds must be positive and decreasing")
+    return schedule
 
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """Points at the times start..end with a jump schedule.
+    """Points at the times start..end with a jump schedule, and their runs.
 
     The jump at time t is d(f(x_t), x_{t+1}). Each schedule entry
     (k, bound), indices strictly increasing and bounds strictly decreasing,
     promises every jump at a time t >= k or t <= -k - 1 strictly below
     bound; a bare bound delta stands for ((0, delta),), one bound on every
-    jump. The window must contain time zero. The promise is checked on
-    construction for every jump in the window, each against the tightest
-    entry covering its time, on the window that entry's bound fixes
-    (space.dist_below); the exact jump appears only in the error message.
+    jump. The window must contain time zero.
+
+    Construction maps every point forward once. Where f(x_t) == x_{t+1}
+    the jump is zero and passes every bound; the maximal stretches of
+    times joined by zero jumps are recorded as runs, (first, last) pairs
+    in time order, each riding one true orbit. Every run break covered by
+    the schedule is checked against the tightest entry covering its time,
+    on the window that entry's bound fixes (space.dist_below); the exact
+    jump appears only in the error message. tail() is the one other way
+    to make a PseudoOrbit, and it checks its schedule against this one.
     """
 
     points: tuple
     schedule: tuple
     start: int = 0
+    runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -132,34 +143,54 @@ class PseudoOrbit:
             raise ValueError("pseudo-orbit must contain at least one point")
         if not self.start <= 0 <= self.end:
             raise ValueError("window must contain time zero")
-        if not self.schedule:
-            raise ValueError("schedule must not be empty")
         ks = [k for k, _ in self.schedule]
-        bs = [b for _, b in self.schedule]
-        if ks[0] < 0 or any(a >= b for a, b in zip(ks, ks[1:])):
-            raise ValueError(
-                "schedule indices must be nonnegative and increasing")
-        if bs[-1] <= 0 or any(a <= b for a, b in zip(bs, bs[1:])):
-            raise ValueError("schedule bounds must be positive and decreasing")
-        # the first entry covers the most: times before -k0 and from k0 on
-        for t in (*range(self.start, -ks[0]), *range(ks[0], self.end)):
-            reach = t if t >= 0 else -t - 1
-            k, bound = self.schedule[bisect_right(ks, reach) - 1]
+        runs, first = [], self.start
+        for t in range(self.start, self.end):
             image, nxt = aug_map(self.at(t)), self.at(t + 1)
+            if image == nxt:
+                continue
+            runs.append((first, t))
+            first = t + 1
+            # the first entry covers the most: times before -k0 and from k0 on
+            reach = t if t >= 0 else -t - 1
+            if reach < ks[0]:
+                continue
+            k, bound = self.schedule[bisect_right(ks, reach) - 1]
             if not dist_below(image, nxt, bound):
                 raise ValueError(
                     f"jump {aug_dist(image, nxt)} at time {t} (index "
                     f"{t - self.start}) violates bound {bound} from "
                     f"|t| >= {k}")
+        runs.append((first, self.end))
+        object.__setattr__(self, "runs", tuple(runs))
 
-    @classmethod
-    def trusted(cls, points, schedule):
-        """Skip jump validation; for internal use on already-proven data."""
-        po = object.__new__(cls)
-        object.__setattr__(po, "points", tuple(points))
-        object.__setattr__(po, "schedule", _normalize_schedule(schedule))
-        object.__setattr__(po, "start", 0)
-        return po
+    def tail(self, k, schedule):
+        """The points from time k on, moved to start at time 0, under a
+        new schedule.
+
+        The tail's jump at time t is this pseudo-orbit's jump at time
+        k + t, so an entry (j, b) holds when this pseudo-orbit's bound at
+        time k + j is at most b; the bounds decrease, so it covers every
+        later time too. Raises when some entry is not implied that way;
+        otherwise the points and runs are sliced and no jump is rechecked.
+        """
+        if not self.start <= k <= self.end:
+            raise ValueError(f"time {k} lies outside {self.start}..{self.end}")
+        schedule = _normalize_schedule(schedule)
+        ks = [j for j, _ in self.schedule]
+        for j, b in schedule:
+            i = bisect_right(ks, k + j) - 1
+            if i < 0 or self.schedule[i][1] > b:
+                raise ValueError(
+                    f"tail entry ({j}, {b}) from time {k} is not implied by "
+                    "the parent schedule")
+        tail = object.__new__(PseudoOrbit)
+        object.__setattr__(tail, "points", self.points[k - self.start:])
+        object.__setattr__(tail, "schedule", schedule)
+        object.__setattr__(tail, "start", 0)
+        object.__setattr__(tail, "runs", tuple(
+            (max(a, k) - k, b - k) for a, b in self.runs if b >= k))
+        return tail
 
     @property
     def delta(self):
@@ -191,7 +222,7 @@ def verify_shadow(po, y, eps):
     index and its exact distance. The comparison is non-strict so that eps
     equal to the diameter accepts every point.
     """
-    dists = orbit_dists(y, po.points, po.start)
+    dists = orbit_dists(y, po)
     worst = max(dists)
     return ShadowCheck(ok=worst <= eps, eps=eps,
                        worst_index=dists.index(worst), worst_dist=worst)
@@ -202,15 +233,15 @@ def shadow_pseudo_orbit(po, eps):
 
     The point sits at time zero: its t-th image tracks po.at(t). Requires
     a uniform jump bound po.delta <= 1/m for the modulus of eps. A
-    satellite of level below m is isolated beyond the jump bound, so a
-    pseudo-orbit touching one can only be a run of that orbit and is
-    traced by its own starting point. Otherwise every satellite in the
+    satellite of level below m is farther than the jump bound from every
+    other point, so each jump into or out of it is zero: a valid
+    pseudo-orbit touching one is a single run of that satellite's orbit,
+    traced by its own point at time zero. Otherwise every satellite in the
     pseudo-orbit sits at level m or deeper; projecting to the base costs
     at most 1/m per point, the projected run is traced by a base point
     within eps/2, and the combined error stays below eps. The result is
     verified at every index before being returned, on one window per run
-    of indices riding one orbit (space.orbit_within); verify_shadow gives
-    the exact worst distance.
+    (space.orbit_within); verify_shadow gives the exact worst distance.
     """
     mod = shadow_modulus(eps)
     if po.delta is None:
@@ -221,22 +252,13 @@ def shadow_pseudo_orbit(po, eps):
             f"pseudo-orbit delta {po.delta} is too coarse; tracing at eps={eps} "
             f"needs delta <= {mod.delta}")
     pts = po.points
-    small = next((p for p in pts if isinstance(p, ExtraPoint) and p.k < mod.m),
-                 None)
-    if small is not None:
-        idx = pts.index(small)
-        expected = tuple(aug_iterate(small, t - idx) for t in range(len(pts)))
-        if pts != expected:
-            raise DichotomyError(
-                f"satellite {small} of level below {mod.m} appears in a "
-                "pseudo-orbit that leaves its orbit")
-        result = pts[0]
+    if any(isinstance(p, ExtraPoint) and p.k < mod.m for p in pts):
+        result = po.at(0)
     else:
         traced = base_shadow([project(p) for p in pts], mod.base_exp)
-        result = BasePoint(traced)
-    result = aug_iterate(result, -po.start)
+        result = aug_iterate(BasePoint(traced), -po.start)
     # the modulus arithmetic forbids a failure here
-    if not orbit_within(result, po.points, po.start, eps):  # pragma: no cover
+    if not orbit_within(result, po, eps):  # pragma: no cover
         raise RuntimeError("traced point failed its own verification: "
                            f"{verify_shadow(po, result, eps)}")
     return result
@@ -339,8 +361,7 @@ def limit_shadow(sys, lpo, thresholds=None):
         _check_thresholds(thresholds)
     if lpo.start != 0:
         raise ScheduleError("limit tracing needs a prefix starting at time 0")
-    pts = lpo.points
-    horizon = len(pts)
+    horizon = len(lpo.points)
     stages = []
     for j in range(1, 9):
         res = AMBIENT / (j + 1)
@@ -349,7 +370,7 @@ def limit_shadow(sys, lpo, thresholds=None):
         if entry is None or entry[0] > horizon - 2:
             break
         start = entry[0]
-        tail = PseudoOrbit.trusted(pts[start:], mod.delta)
+        tail = lpo.tail(start, mod.delta)
         stages.append((res, start, mod.delta, shadow_pseudo_orbit(tail, res)))
     if len(stages) < 3:
         raise ScheduleError(
@@ -373,7 +394,7 @@ def limit_shadow(sys, lpo, thresholds=None):
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
     missed = set(thresholds)
     for cand in candidates:
-        decay = _decay(orbit_dists(cand, pts), thresholds)
+        decay = _decay(orbit_dists(cand, lpo), thresholds)
         if all(idx is not None for _, idx in decay):
             break
         missed &= {th for th, idx in decay if idx is None}
@@ -414,14 +435,6 @@ def _mirror_limit_orbit(tslpo):
     return PseudoOrbit(pts, schedule)
 
 
-def _tail_dists(tslpo, past_point, future_point):
-    """Distances of the past and future halves to the two points' orbits."""
-    split = -tslpo.start
-    past = orbit_dists(past_point, tslpo.points[:split + 1], tslpo.start)
-    future = orbit_dists(future_point, tslpo.points[split:])
-    return past[::-1], future
-
-
 def _trace_half(sys, lpo, thresholds, side):
     """limit_shadow of one half, naming the half when it is too short to
     trace or misses a threshold."""
@@ -460,11 +473,9 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     must be positive.
     """
     _check_thresholds(thresholds)
-    past_report = _trace_half(sys, _mirror_limit_orbit(tslpo), thresholds,
-                              "past")
-    # the jumps of the future half were checked against this schedule
-    future_half = PseudoOrbit.trusted(tslpo.points[-tslpo.start:],
-                                      tslpo.schedule)
+    past_half = _mirror_limit_orbit(tslpo)
+    past_report = _trace_half(sys, past_half, thresholds, "past")
+    future_half = tslpo.tail(0, tslpo.schedule)
     future_report = _trace_half(sys, future_half, thresholds, "future")
     p1 = mirror_point(past_report.point)
     p2 = future_report.point
@@ -483,8 +494,11 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
         glue_eps = delta / 4
         spacing = specification_spacing(glue_eps)
         junction = (spacing + 1) // 2
-        for side, dists in zip(("past", "future"), _tail_dists(tslpo, p1, p2)):
-            [(_, idx)] = _decay(dists, (delta,))
+        # the mirror is an isometry, so the past half's distances to the
+        # traced past point are those of the past to p1's orbit
+        for side, point, half in (("past", past_report.point, past_half),
+                                  ("future", p2, future_half)):
+            [(_, idx)] = _decay(orbit_dists(point, half), (delta,))
             if idx is None:
                 raise ScheduleError(
                     f"{side} tail never comes within the gluing bound {delta}")
@@ -509,8 +523,9 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")
-    past_decay, future_decay = (_decay(dists, thresholds)
-                                for dists in _tail_dists(tslpo, final, final))
+    dists, split = orbit_dists(final, tslpo), -tslpo.start
+    past_decay, future_decay = (_decay(half, thresholds)
+                                for half in (dists[split::-1], dists[split:]))
     for side, decay in (("past", past_decay), ("future", future_decay)):
         missing = [str(th) for th, idx in decay if idx is None]
         if missing:

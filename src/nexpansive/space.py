@@ -229,60 +229,52 @@ def aug_iterate(x, t):
     return ExtraPoint(x.i, x.k, (x.j + t) % (x.k + 1))
 
 
-def orbit_dists(y, points, start=0):
-    """The list of aug_dist(aug_iterate(y, start + i), points[i]).
+def orbit_dists(y, po):
+    """The list of aug_dist(aug_iterate(y, t), po.at(t)) over the times t
+    of the pseudo-orbit po, in time order.
 
-    At the time t = start + i the base part is 2**-r with r the least
-    |j - t| over the mismatch set {j : project(y)[j] != z[j]} of
-    z = project(points[i]).shift(-t), and the tag levels are those of
-    points[i] to y's image at t (to y itself when y is a base point).
-    Every index riding one orbit has the same canonical z, so each group of
-    indices costs one sweep of base.nearest_mismatches, not one base_dist
-    per index.
+    Along a run of po (po.runs) the points ride one true orbit, so every
+    time t of the run has the same z = project(po.at(t)).shift(-t) and the
+    same tag levels, read once at the run's first time. At t the base part
+    is 2**-r with r the least |j - t| over the mismatch set
+    {j : project(y)[j] != z[j]}. Runs are grouped by z, and each group's
+    times cost one sweep of base.nearest_mismatches, not one base_dist per
+    time.
     """
-    py, ride = project(y), isinstance(y, ExtraPoint)
+    py = project(y)
     groups = {}
-    for i, x in enumerate(points):
-        groups.setdefault(project(x).shift(-(start + i)), []).append(i)
-    out = [None] * len(points)
-    for z, members in groups.items():
-        if z == py:
-            rs = [None] * len(members)
-        else:
-            rs = nearest_mismatches(py, z, [start + i for i in members])
-        for i, r in zip(members, rs):
-            at = aug_iterate(y, start + i) if ride else y
-            out[i] = _dist(r, *tag_levels(at, points[i]))
+    for first, last in po.runs:
+        z = project(po.at(first)).shift(-first)
+        groups.setdefault(z, []).append((first, last))
+    out = [None] * len(po.points)
+    for z, runs in groups.items():
+        times = [t for first, last in runs for t in range(first, last + 1)]
+        rs = iter([None] * len(times) if z == py
+                  else nearest_mismatches(py, z, times))
+        for first, last in runs:
+            levels = tag_levels(aug_iterate(y, first), po.at(first))
+            for t in range(first, last + 1):
+                out[t - po.start] = _dist(next(rs), *levels)
     return out
 
 
-def orbit_within(y, points, start, eps):
-    """True when every entry of orbit_dists(y, points, start) is <= eps.
+def orbit_within(y, po, eps):
+    """True when every entry of orbit_dists(y, po) is <= eps.
 
-    At the time t = start + i with z = project(points[i]).shift(-t), the
-    entry is at most eps exactly when project(y) and z agree on |j - t| < m,
-    with m = residual_radius(eps, k, l, False) for the tag levels (k, l)
-    that orbit_dists reads at t; None fails at once. A maximal run of
-    indices with the same z and m is checked on one window, its times
-    widened by m - 1 on each side.
+    Along a run of po, with z = project(po.at(t)).shift(-t) and the tag
+    levels the same at every time t, an entry is at most eps exactly when
+    project(y) and z agree on |j - t| < m, m = residual_radius(eps, k, l,
+    False); None fails at once. So each run is checked on one window, its
+    times widened by m - 1 on each side.
     """
-    seq, ride = project(y), isinstance(y, ExtraPoint)
-    num, den = eps.numerator, eps.denominator
-    run = None  # [z, m, first time, last time]
-    for i, x in enumerate(points):
-        t = start + i
-        at = aug_iterate(y, t) if ride else y
-        m = _residual(num, den, *tag_levels(at, x), False)
-        if m is None:
+    seq = project(y)
+    for first, last in po.runs:
+        x = po.at(first)
+        m = residual_radius(eps, *tag_levels(aug_iterate(y, first), x), False)
+        if m is None or not _run_agrees(seq, project(x).shift(-first), m,
+                                        first, last):
             return False
-        z = project(x).shift(-t)
-        if run is not None and run[0] == z and run[1] == m:
-            run[3] = t
-            continue
-        if run is not None and not _run_agrees(seq, *run):
-            return False
-        run = [z, m, t, t]
-    return run is None or _run_agrees(seq, *run)
+    return True
 
 
 def _run_agrees(seq, z, m, lo, hi):
@@ -326,15 +318,14 @@ def mirror_point(x):
 
     Reversing every base sequence swaps the shift with its inverse and
     preserves all distances; a satellite point follows the reversal of the
-    orbit it shadows. Applying mirror_point, then the map, then
-    mirror_point again gives the inverse map.
+    orbit it shadows. p(k, j) carries its 1s at the indices congruent to
+    k - j mod k + 1, so its reversal is p(k, k - 1 - j). Applying
+    mirror_point, then the map, then mirror_point again gives the inverse
+    map.
     """
     if isinstance(x, BasePoint):
         return BasePoint(x.seq.reverse())
-    rev = project(x).reverse()
-    label = orbit_label(rev)
-    assert label is not None and label[0] == x.k
-    return ExtraPoint(x.i, x.k, label[1])
+    return ExtraPoint(x.i, x.k, (x.k - 1 - x.j) % (x.k + 1))
 
 
 def canonical_key(x):

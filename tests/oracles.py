@@ -313,6 +313,24 @@ def brute_schedule_ok(points, start, schedule):
     return True
 
 
+
+def brute_runs(points, start):
+    """The maximal stretches (first, last) of times riding one true orbit.
+
+    The map is a bijection, so f(x_t) == x_{t+1} exactly when x_t and
+    x_{t+1} pull back to the same point at time zero; runs are the
+    maximal groups of consecutive times with one pullback.
+    """
+    runs = []
+    for i, x in enumerate(points):
+        t = start + i
+        origin = aug_iterate(x, -t)
+        if runs and runs[-1][0] == origin:
+            runs[-1][2] = t
+        else:
+            runs.append([origin, t, t])
+    return [(first, last) for _, first, last in runs]
+
 def loop_chain_depth(eps):
     """The least integer depth >= -1 with 2**-(depth + 1) < eps, by search
     (the cylinder depth of the chain graph)."""

@@ -12,6 +12,7 @@ from nexpansive.base import (
     flip_symbol,
     periodic_orbit,
     periodic_point,
+    right_tails_agree,
 )
 from nexpansive.space import (
     VARIANTS,
@@ -21,7 +22,10 @@ from nexpansive.space import (
     aug_iterate,
     aug_map,
     canonical_key,
+    level_gap,
     orbit_label,
+    project,
+    tag_levels,
     window_sup_dist,
 )
 from nexpansive.expansivity import (
@@ -38,6 +42,7 @@ from nexpansive.expansivity import (
     stabilization_index,
     stable_class_count,
     _stable_candidates,
+    _stable_entry_time,
 )
 from nexpansive.samples import construction_sample, random_point, window_probe
 from oracles import (
@@ -441,6 +446,45 @@ class TestStableRadius:
             for m in range(-8, 9):
                 rep = stable_class_count(sys3, aug_iterate(x, m), r)
                 assert rep.count == 1, (x, m)
+
+
+def limsup_rule_radius(sys, center, eps):
+    """local_stable_radius with each competitor's separation read as the
+    limsup of its forward distance to the anchor: the tag gap, plus 1
+    unless the right tails of the projections agree."""
+    anchor = aug_iterate(center,
+                         _stable_entry_time(center, eps, sys.multiplicity))
+    report = stable_class_count(sys, anchor, eps)
+    if report.count == 1:
+        return eps
+    seps = [level_gap(*tag_levels(z, anchor))
+            + (0 if right_tails_agree(project(z), project(anchor)) else 1)
+            for z in report.representatives if z != anchor]
+    return min(seps) / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(VARIANTS),
+       st.sampled_from([Fraction(1, 16), Fraction(1, 8), Fraction(3, 16),
+                        Fraction(1, 5), QUARTER, Fraction(9, 20)]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["random", "flip", "extra"]))
+def test_stable_radius_reads_tag_gaps(n, variant, eps, seed, kind):
+    # below 1/2 every competitor shares the anchor's right tail, so its
+    # separation is its tag gap; centers near tagged orbits have
+    # competitors, random ones mostly not
+    sys = AugSystem(n, variant, 64)
+    rng = random.Random(seed)
+    k = rng.randint(1, 12)
+    if kind == "flip":
+        center = BasePoint(flip_symbol(periodic_point(k).shift(rng.randint(
+            0, k)), rng.choice([-1, 1]) * rng.randint(0, 9)))
+    elif kind == "extra" and sys.multiplicity(k) >= 1:
+        center = ExtraPoint(rng.randint(1, sys.multiplicity(k)), k,
+                            rng.randint(0, k))
+    else:
+        center = random_point(sys, rng, 12)
+    assert (local_stable_radius(sys, center, eps)
+            == limsup_rule_radius(sys, center, eps))
 
 
 def scanned_stabilization(counts):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nexpansive.base import BiSeq, dyadic, flip_symbol, periodic_point
 from nexpansive.space import (
+    AugSystem,
     BasePoint,
     ExtraPoint,
     aug_dist,
@@ -17,11 +18,11 @@ from nexpansive.space import (
 from nexpansive.expansivity import in_stable_set, in_unstable_set
 from nexpansive.shadowing import (
     DecayThresholdError,
-    DichotomyError,
     IsolationError,
     PseudoOrbit,
     ScheduleError,
     _decay,
+    _mirror_limit_orbit,
     limit_shadow,
     shadow_modulus,
     shadow_pseudo_orbit,
@@ -36,7 +37,7 @@ from nexpansive.samples import (
     piecewise_periodic,
     switching_limit_orbit,
 )
-from oracles import brute_decay_index, brute_schedule_ok
+from oracles import brute_decay_index, brute_runs, brute_schedule_ok
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -180,6 +181,88 @@ class TestPseudoOrbitTypes:
                 shadow_specification(segments, Fraction(2))
 
 
+def _sample_orbits(data):
+    """A hop, switching, drifting or mirrored drifting pseudo-orbit of
+    small size; a hop orbit may be moved to start below zero."""
+    kind = data.draw(st.sampled_from(["hop", "switching", "drifting",
+                                      "mirrored"]))
+    if kind == "hop":
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        sys3 = AugSystem(3, "standard", 64)
+        po = hop_pseudo_orbit(sys3, rng, length=data.draw(st.integers(1, 40)),
+                              delta_exp=data.draw(st.integers(2, 8)))
+        back = data.draw(st.integers(0, len(po.points) - 1))
+        return PseudoOrbit(po.points, po.delta, -back)
+    if kind == "switching":
+        words = data.draw(st.sampled_from([("001", "01"), ("0", "1")]))
+        return switching_limit_orbit(*words, stages=data.draw(
+            st.integers(3, 7)))
+    po = drifting_two_sided_orbit(
+        *data.draw(st.sampled_from([("001", "0001"), ("01", "1")])),
+        half=data.draw(st.integers(8, 40)),
+        defect_step=data.draw(st.integers(1, 5)))
+    return _mirror_limit_orbit(po) if kind == "mirrored" else po
+
+
+class TestRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_runs_match_brute_split(self, data):
+        po = _sample_orbits(data)
+        assert list(po.runs) == brute_runs(po.points, po.start)
+
+    def test_one_run_per_true_orbit(self):
+        q = ExtraPoint(2, 4, 3)
+        po = PseudoOrbit([aug_iterate(q, t) for t in range(-5, 9)],
+                         Fraction(1, 64), -5)
+        assert po.runs == ((-5, 8),)
+
+
+def _bound_at(schedule, time):
+    """The tightest bound an entry of the schedule puts on the jump at a
+    time >= 0, or None: the least bound over the entries (k, b), k <= time."""
+    return min((b for k, b in schedule if k <= time), default=None)
+
+
+class TestTail:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_tail_matches_a_fresh_pseudo_orbit(self, data):
+        po = _sample_orbits(data)
+        k = data.draw(st.integers(po.start, po.end))
+        size = data.draw(st.integers(1, 3))
+        js = sorted(set(data.draw(st.lists(st.integers(0, 12), min_size=size,
+                                           max_size=size))))
+        bounds = sorted(set(data.draw(st.lists(
+            st.sampled_from(SCHEDULE_BOUNDS), min_size=len(js),
+            max_size=len(js)))), reverse=True)
+        schedule = tuple(zip(js, bounds))
+        implied = all(
+            (parent := _bound_at(po.schedule, k + j)) is not None
+            and parent <= b for j, b in schedule)
+        if not implied:
+            with pytest.raises(ValueError, match="not implied"):
+                po.tail(k, schedule)
+            return
+        tail = po.tail(k, schedule)
+        fresh = PseudoOrbit(po.points[k - po.start:], schedule)
+        assert tail == fresh
+        assert tail.runs == fresh.runs
+
+    def test_refusals(self):
+        po = switching_limit_orbit(stages=5)   # first entry (2, 1/2)
+        assert po.tail(2, ((0, Fraction(1, 2)),)).runs == (
+            PseudoOrbit(po.points[2:], Fraction(1, 2)).runs)
+        # time 1 + 0 lies below the first schedule index
+        with pytest.raises(ValueError, match="not implied"):
+            po.tail(1, ((0, Fraction(1, 2)),))
+        # 1/4 is tighter than the parent's 1/2 at time 2
+        with pytest.raises(ValueError, match="not implied"):
+            po.tail(2, ((0, Fraction(1, 4)),))
+        with pytest.raises(ValueError, match="outside"):
+            po.tail(po.end + 1, Fraction(1, 2))
+
+
 class TestStandardShadowing:
     def test_true_orbit(self, sys3):
         x = BasePoint(BiSeq("01", "100", "0", -1))
@@ -200,13 +283,13 @@ class TestStandardShadowing:
         with pytest.raises(ValueError, match="too coarse"):
             shadow_pseudo_orbit(po, QUARTER)
 
-    def test_dichotomy_guard(self, sys3):
-        # a deliberately mislabeled pseudo-orbit: the claimed delta passes
-        # the modulus gate, but the points leave a shallow satellite orbit
+    def test_leaving_a_shallow_satellite_is_refused(self, sys3):
+        # the points leave a level-3 satellite orbit, a jump of its tag
+        # gap 1/3, far above a delta that passes the modulus gate
         pts = (ExtraPoint(1, 3, 0), BasePoint(periodic_point(3).shift(1)))
-        bogus = PseudoOrbit.trusted(pts, Fraction(1, 1000))
-        with pytest.raises(DichotomyError):
-            shadow_pseudo_orbit(bogus, QUARTER)
+        with pytest.raises(ValueError,
+                           match=r"jump 1/3 at time 0 \(index 0\)"):
+            PseudoOrbit(pts, Fraction(1, 1000))
 
     def test_wandering_orbits_verified(self, sys3):
         rng = random.Random(131)

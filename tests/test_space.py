@@ -30,6 +30,7 @@ from nexpansive.space import (
     project,
     tail_label,
 )
+from nexpansive.shadowing import PseudoOrbit
 from nexpansive.samples import (
     drifting_two_sided_orbit,
     hop_pseudo_orbit,
@@ -288,6 +289,15 @@ class TestMirror:
             assert mirror_point(mirror_point(p)) == p
             assert mirror_point(aug_iterate(p, -1)) == aug_map(mirror_point(p))
 
+    def test_satellite_rule_matches_reversed_orbit(self):
+        # the closed form against reversing the shadowed orbit and reading
+        # its label
+        for k in range(1, 80):
+            for j in range(k + 1):
+                x = ExtraPoint(2, k, j)
+                rev = orbit_label(project(x).reverse())
+                assert mirror_point(x) == ExtraPoint(2, *rev), (k, j)
+
     def test_isometry(self, sys3):
         rng = random.Random(59)
         for _ in range(300):
@@ -319,31 +329,40 @@ def _riders(points, start, picks):
             for i in picks]
 
 
+def _any_po(points, back):
+    """points as a pseudo-orbit starting at time -min(back, len - 1), so
+    that its window holds 0; the bound 4 exceeds the diameter 3, so every
+    list of points validates."""
+    return PseudoOrbit(points, 4, -min(back, len(points) - 1))
+
+
 class TestOrbitDists:
     """orbit_dists against the per-index oracle brute_orbit_dists."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(5, 10), st.integers(0, 2**32 - 1), st.integers(1, 40),
-           st.integers(-6, 6), st.lists(st.integers(0, 39), max_size=4))
-    def test_hop_orbits(self, delta_exp, seed, length, start, picks):
+           st.integers(0, 6), st.lists(st.integers(0, 39), max_size=4))
+    def test_hop_orbits(self, delta_exp, seed, length, back, picks):
         rng = random.Random(seed)
         sys3 = AugSystem(3, "standard", 64)
         pts = hop_pseudo_orbit(sys3, rng, length=length,
                                delta_exp=delta_exp).points
-        ys = _riders(pts, start, picks) + [
+        po = _any_po(pts, back)
+        ys = _riders(pts, po.start, picks) + [
             random_point(sys3, rng, 10),
             ExtraPoint(1, 2 ** delta_exp + 1, rng.randint(0, 2 ** delta_exp)),
             BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
         for y in ys:
-            assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts, start)
+            assert orbit_dists(y, po) == brute_orbit_dists(y, pts, po.start)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([("001", "01"), ("0", "1"), ("011", "0001")]),
            st.integers(3, 7), st.lists(st.integers(0, 127), max_size=4))
     def test_switching_limit_orbits(self, words, stages, picks):
-        pts = switching_limit_orbit(*words, stages=stages).points
+        po = switching_limit_orbit(*words, stages=stages)
+        pts = po.points
         for y in _riders(pts, 0, picks) + [BasePoint(BiSeq(words[0]))]:
-            assert orbit_dists(y, pts) == brute_orbit_dists(y, pts)
+            assert orbit_dists(y, po) == brute_orbit_dists(y, pts)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
@@ -353,28 +372,32 @@ class TestOrbitDists:
         po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
         assert po.start < 0
         for y in _riders(po.points, po.start, picks):
-            assert (orbit_dists(y, po.points, po.start)
+            assert (orbit_dists(y, po)
                     == brute_orbit_dists(y, po.points, po.start))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 12), st.integers(-20, 20),
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 29),
            st.integers(1, 30), st.integers(0, 2**32 - 1))
-    def test_satellite_y(self, k, j, start, length, seed):
+    def test_satellite_y(self, k, j, back, length, seed):
         rng = random.Random(seed)
         q = ExtraPoint(1, k, j % (k + 1))
+        start = -min(back, length - 1)
         own = [aug_iterate(q, start + t) for t in range(length)]
         for pts in (own, _mixed_riders(own, rng)):
-            assert orbit_dists(q, pts, start) == brute_orbit_dists(q, pts, start)
+            assert (orbit_dists(q, PseudoOrbit(pts, 4, start))
+                    == brute_orbit_dists(q, pts, start))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(-20, 20),
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 29),
            st.integers(1, 30))
-    def test_y_on_the_ridden_orbit(self, seed, start, length):
+    def test_y_on_the_ridden_orbit(self, seed, back, length):
         rng = random.Random(seed)
         sys3 = AugSystem(3, "standard", 64)
         y = random_point(sys3, rng, 10)
+        start = -min(back, length - 1)
         pts = [aug_iterate(y, start + t) for t in range(length)]
-        assert orbit_dists(y, pts, start) == [Fraction(0)] * length
+        assert (orbit_dists(y, PseudoOrbit(pts, 4, start))
+                == [Fraction(0)] * length)
         # one index moves off: a flip of a base point, or a satellite's copy
         # or base point at the same position
         i = rng.randrange(length)
@@ -383,15 +406,17 @@ class TestOrbitDists:
         else:
             pts[i] = rng.choice([ExtraPoint(3 - y.i, y.k, pts[i].j),
                                  BasePoint(project(pts[i]))])
-        assert orbit_dists(y, pts, start) == brute_orbit_dists(y, pts, start)
+        assert (orbit_dists(y, PseudoOrbit(pts, 4, start))
+                == brute_orbit_dists(y, pts, start))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["0", "01", "0010", "1"]), st.integers(-10, 10),
+    @given(st.sampled_from(["0", "01", "0010", "1"]), st.integers(0, 10),
            st.integers(1, 20), st.integers(1, 300), st.booleans(),
            st.booleans())
-    def test_first_mismatch_beyond_the_span(self, word, start, length, far,
+    def test_first_mismatch_beyond_the_span(self, word, back, length, far,
                                             right, tail):
         y = BasePoint(BiSeq(word))
+        start = -min(back, length - 1)
         end = start + length - 1
         at = end + far if right else start - far
         if tail:
@@ -401,7 +426,7 @@ class TestOrbitDists:
         else:
             z = flip_symbol(y.seq, at)
         pts = [BasePoint(z.shift(start + t)) for t in range(length)]
-        dists = orbit_dists(y, pts, start)
+        dists = orbit_dists(y, PseudoOrbit(pts, 4, start))
         assert dists == brute_orbit_dists(y, pts, start)
         assert all(0 < d <= Fraction(1, 2) ** far for d in dists)
 
@@ -443,25 +468,26 @@ class TestOrbitWithin:
     """orbit_within against all(d <= eps) over brute_orbit_dists."""
 
     @staticmethod
-    def _agree(y, pts, start):
-        dists = brute_orbit_dists(y, pts, start)
-        for eps in _bounds_around(dists, pts):
+    def _agree(y, po):
+        dists = brute_orbit_dists(y, po.points, po.start)
+        for eps in _bounds_around(dists, po.points):
             want = all(d <= eps for d in dists)
-            assert orbit_within(y, pts, start, eps) == want, (y, start, eps)
+            assert orbit_within(y, po, eps) == want, (y, po.start, eps)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 40),
-           st.integers(-6, 6), st.lists(st.integers(0, 39), max_size=3))
-    def test_hop_orbits(self, delta_exp, seed, length, start, picks):
+           st.integers(0, 6), st.lists(st.integers(0, 39), max_size=3))
+    def test_hop_orbits(self, delta_exp, seed, length, back, picks):
         rng = random.Random(seed)
         sys3 = AugSystem(3, "standard", 64)
         pts = hop_pseudo_orbit(sys3, rng, length=length,
                                delta_exp=delta_exp).points
-        ys = _riders(pts, start, picks) + [
+        po = _any_po(pts, back)
+        ys = _riders(pts, po.start, picks) + [
             random_point(sys3, rng, 10),
             BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
         for y in ys:
-            self._agree(y, pts, start)
+            self._agree(y, po)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
@@ -470,15 +496,16 @@ class TestOrbitWithin:
     def test_two_sided_windows(self, words, half, step, picks):
         po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
         for y in _riders(po.points, po.start, picks):
-            self._agree(y, po.points, po.start)
+            self._agree(y, po)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 6), st.integers(-8, 8), st.integers(1, 12),
+    @given(st.integers(1, 6), st.integers(0, 11), st.integers(1, 12),
            st.integers(0, 2**32 - 1))
-    def test_satellites_on_the_ridden_orbit(self, k, start, length, seed):
+    def test_satellites_on_the_ridden_orbit(self, k, back, length, seed):
         # y rides the level-k orbit and some indices are its satellites:
         # at eps = 1/k the residual is 0, below it negative
         rng = random.Random(seed)
+        start = -min(back, length - 1)
         y = BasePoint(periodic_point(k))
         pts = [ExtraPoint(rng.randint(1, 2), k, (start + t) % (k + 1))
                if rng.random() < 0.4 else aug_iterate(y, start + t)
@@ -489,20 +516,21 @@ class TestOrbitWithin:
                    if isinstance(p, BasePoint) and rng.random() < 0.3 else p
                    for p in pts]
         for z in (y, far):
-            self._agree(z, pts, start)
-            self._agree(z, flipped, start)
+            self._agree(z, PseudoOrbit(pts, 4, start))
+            self._agree(z, PseudoOrbit(flipped, 4, start))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 12), st.integers(-20, 20),
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 29),
            st.integers(1, 30), st.integers(0, 2**32 - 1))
-    def test_satellite_y(self, k, j, start, length, seed):
+    def test_satellite_y(self, k, j, back, length, seed):
         # a satellite riding its own orbit: the tag levels are read at its
         # image, so its own points sit at 0 and its copies at 1/k
         rng = random.Random(seed)
         q = ExtraPoint(1, k, j % (k + 1))
+        start = -min(back, length - 1)
         own = [aug_iterate(q, start + t) for t in range(length)]
         for pts in (own, _mixed_riders(own, rng)):
-            self._agree(q, pts, start)
+            self._agree(q, PseudoOrbit(pts, 4, start))
 
     def test_ties_and_zero_residual(self):
         y = BasePoint(periodic_point(4))
@@ -510,14 +538,14 @@ class TestOrbitWithin:
         # one point off by a flip at depth 3 of its own window: d = 1/8
         off = list(run)
         off[2] = BasePoint(flip_symbol(run[2].seq, 3))
-        assert orbit_within(y, off, -3, Fraction(1, 8))
-        assert not orbit_within(y, off, -3, Fraction(1, 9))
         sat = list(run)
         sat[5] = ExtraPoint(1, 4, orbit_label(project(run[5]))[1])
-        assert orbit_within(y, sat, -3, Fraction(1, 4))
-        assert not orbit_within(y, sat, -3, Fraction(1, 5))
-        assert not orbit_within(BasePoint(flip_symbol(y.seq, 40)), sat, -3,
+        run, off, sat = (PseudoOrbit(pts, 4, -3) for pts in (run, off, sat))
+        assert orbit_within(y, off, Fraction(1, 8))
+        assert not orbit_within(y, off, Fraction(1, 9))
+        assert orbit_within(y, sat, Fraction(1, 4))
+        assert not orbit_within(y, sat, Fraction(1, 5))
+        assert not orbit_within(BasePoint(flip_symbol(y.seq, 40)), sat,
                                 Fraction(1, 4))
-        assert orbit_within(y, run, -3, Fraction(0))
-        assert not orbit_within(y, off, -3, Fraction(0))
-        assert orbit_within(y, [], 0, Fraction(-1))
+        assert orbit_within(y, run, Fraction(0))
+        assert not orbit_within(y, off, Fraction(0))
