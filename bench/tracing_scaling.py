@@ -28,8 +28,8 @@ from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
 from nexpansive.shadowing import limit_shadow, two_sided_limit_shadow
 from nexpansive.space import AugSystem
 
-STAGES = (10, 11, 12, 13, 14)
-HALVES = (512, 1024, 2048)
+STAGES = (10, 11, 12, 13, 14, 15)
+HALVES = (512, 1024, 2048, 8192)
 RUNS = 3
 SYSTEM = AugSystem(3, "standard", 50)
 LIMIT_THRESHOLDS = tuple(dyadic(t) for t in range(1, 6))

@@ -315,37 +315,44 @@ def mismatch_radius(x, y):
         lo, hi = max(2 * lo, left), min(2 * hi, right)
 
 
-def nearest_mismatches(y, z, times):
-    """For each of the increasing times t, the least |j - t| with y[j] != z[j].
+def nearest_mismatch(x, y, lo, hi):
+    """The index of the mismatch of x and y nearest to [lo, hi], or None
+    when x == y.
 
-    y and z must differ. One XOR of the two words over [lo, hi), the span
-    of the times, marks the mismatches inside it: bit b stands for index
-    hi - 1 - b. The bits up to b_t = hi - 1 - t hold the mismatches at or
-    after t, the nearest one being the highest of them, and the bits from
-    b_t on hold those at or before t, the nearest being the lowest. One
-    mismatch search past each edge, bounded by Fine and Wilf, covers the
-    rest of the line.
+    A mismatch inside [lo, hi] is nearest, and the first one inside is
+    returned; otherwise the nearer of the last one below lo and the first
+    one above hi, the one below on a tie. The scan of mismatch_radius,
+    around a stretch instead of index 0: each round compares x and y on
+    [lo - r, hi + r], r starting at _PROBE and doubling, each side clipped
+    at its Fine and Wilf cap, left_cap(x, y, lo - 1) and right_cap(x, y,
+    hi + 1). A found mismatch at distance d is nearest once both sides
+    reach d or their caps.
     """
-    lo, hi = times[0], times[-1] + 1
-    mask = _diff_bits(y.window(lo, hi), z.window(lo, hi))
-    right = first_mismatch_fwd(y, z, hi)
-    left = first_mismatch_bwd(y, z, lo - 1)
-    out = []
-    for t in times:
-        b = hi - 1 - t
-        gaps = []
-        if right is not None:
-            gaps.append(right - t)
-        if left is not None:
-            gaps.append(t - left)
-        after = mask & ((2 << b) - 1)
-        if after:
-            gaps.append(b + 1 - after.bit_length())
-        before = mask >> b
-        if before:
-            gaps.append((before & -before).bit_length() - 1)
-        out.append(min(gaps))
-    return out
+    if x == y:
+        return None
+    r, left = _PROBE, None
+    a, b = lo - r, hi + r
+    while True:
+        xs, ys = x.window(a, b + 1), y.window(a, b + 1)
+        if xs != ys:
+            # bit i of the XOR stands for index b - i
+            mask = _diff_bits(xs, ys)
+            inside = (mask >> (b - hi)) & ((1 << (hi - lo + 1)) - 1)
+            if inside:
+                return hi + 1 - inside.bit_length()
+            behind, ahead = mask >> (b - lo + 1), mask & ((1 << (b - hi)) - 1)
+            below = lo - (behind & -behind).bit_length() if behind else None
+            above = b + 1 - ahead.bit_length() if ahead else None
+            if above is None or below is not None and lo - below <= above - hi:
+                return below
+            return above
+        if left is None:  # the caps cost more than most probes
+            left = min(a, left_cap(x, y, lo - 1))
+            right = max(b, right_cap(x, y, hi + 1) - 1)
+        if a == left and b == right:
+            return None
+        r *= 2
+        a, b = max(lo - r, left), min(hi + r, right)
 
 
 def base_dist(x, y):
@@ -421,35 +428,40 @@ def flip_symbol(x, pos):
     return assemble(x, pos, flipped, pos + 1, x, 0)
 
 
-def base_shadow(po, delta_exp):
-    """Trace a finite pseudo-orbit of the shift by a true orbit.
+def base_shadow(runs, delta_exp):
+    """Trace a finite pseudo-orbit of the shift, given by its runs, by a
+    true orbit.
 
-    ``po`` lists points whose one-step jumps are below 2**-delta_exp, i.e.
-    base_dist(po[t].shift(1), po[t+1]) < 2**-delta_exp for consecutive
-    entries. That bound is checked on the window it fixes: a distance is
-    below 2**-e exactly when the two sequences agree on [-e, e], so
-    po[t] on [1 - e, e + 1] must spell po[t+1] on [-e, e]; the exact gap
-    is computed only for the error message. The traced point reads off
-    each entry's symbol at index 0 and extends the ends by the first
-    entry's left tail and the last entry's right tail, which keeps it
+    ``runs`` lists (first, last, z) for consecutive stretches of times,
+    each followed by the last and the next: at every time t of a run the
+    pseudo-orbit is at z.shift(t), so inside a run every jump is zero.
+    Only the jump across each run break must stay below 2**-delta_exp,
+    and that bound is checked on the window it fixes: a distance is below
+    2**-e exactly when the two sequences agree on [-e, e], so at a break
+    after time t the carriers z and z' must agree on [t + 1 - e, t + 1 +
+    e]; the exact gap is computed only for the error message, which counts
+    the index from the first time. The traced point, at time 0, spells
+    each run's z on [first, last] in one slice and extends the ends by the
+    first run's left tail and the last run's right tail, which keeps it
     inside this module's point class. Agreement between neighbours
     propagates across the jump windows, so the returned point y satisfies
-    base_dist(y.shift(t), po[t]) <= 2**-delta_exp at every index;
+    base_dist(y.shift(t), z.shift(t)) <= 2**-delta_exp at every time t;
     shadowing.shadow_pseudo_orbit checks that bound on its window too.
     """
     if delta_exp < 1:
         raise ValueError("delta_exp must be >= 1")
-    if not po:
+    if not runs:
         raise ValueError("pseudo-orbit is empty")
     e = delta_exp
-    words = [p.window(-e, e + 2) for p in po]
-    for t in range(len(po) - 1):
-        if words[t][1:] != words[t + 1][:-1]:
-            gap = base_dist(po[t].shift(1), po[t + 1])
+    start = runs[0][0]
+    for (_, t, z), (_, _, nxt) in zip(runs, runs[1:]):
+        if z.window(t + 1 - e, t + 2 + e) != nxt.window(t + 1 - e, t + 2 + e):
+            gap = base_dist(z.shift(t + 1), nxt.shift(t + 1))
             raise ValueError(
-                f"gap {gap} at index {t} is not below 2**-{delta_exp}")
-    word = "".join(w[e] for w in words)
-    return assemble(po[0], 0, word, len(po), po[-1], len(po) - 1)
+                f"gap {gap} at index {t - start} is not below 2**-{delta_exp}")
+    word = "".join(z.window(first, last + 1) for first, last, z in runs)
+    end = runs[-1][1] + 1
+    return assemble(runs[0][2], start, word, end, runs[-1][2], 0)
 
 
 def glue_specification(segments, spacing):

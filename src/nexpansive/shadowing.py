@@ -6,19 +6,18 @@ is part of the postcondition, not an afterthought. A bound is checked on
 the window it fixes: a base distance is below 2**-e exactly when the two
 sequences agree on [-e, e], so jump, tracking and specification bounds
 compare windows and exact distances are computed only where they are
-reported (failed checks, verify_shadow and the decay lists). Finite
-prefixes stand in for infinite data throughout: a limit statement is
-always checked as a schedule of thresholds with recorded achievement
-indices, all read off one pass over the distances (_decay), and schedules
-are caller data, never invented here.
+reported (failed checks and verify_shadow). Finite prefixes stand in for
+infinite data throughout: a limit statement is always checked as a
+schedule of thresholds with recorded achievement indices, each read off
+one mismatch mask per run (space.failure_times), and schedules are caller
+data, never invented here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 from nexpansive.base import (HALF, agree_radius, base_shadow, dyadic,
                              glue_specification)
@@ -31,9 +30,10 @@ from nexpansive.space import (
     aug_map,
     canonical_key,
     dist_below,
+    failure_times,
     mirror_point,
-    orbit_dists,
     orbit_within,
+    orbit_worst,
     project,
 )
 from nexpansive.expansivity import (
@@ -218,14 +218,14 @@ def verify_shadow(po, y, eps):
     """Exact check that y tracks the pseudo-orbit within eps at every index.
 
     The point at time s of the pseudo-orbit is compared against the s-th
-    image of y, in one orbit_dists sweep; the report carries the worst
-    index and its exact distance. The comparison is non-strict so that eps
-    equal to the diameter accepts every point.
+    image of y, one run at a time (space.orbit_worst); the report carries
+    the first index of the worst distance and that exact distance. The
+    comparison is non-strict so that eps equal to the diameter accepts
+    every point.
     """
-    dists = orbit_dists(y, po)
-    worst = max(dists)
+    t, worst = orbit_worst(y, po)
     return ShadowCheck(ok=worst <= eps, eps=eps,
-                       worst_index=dists.index(worst), worst_dist=worst)
+                       worst_index=t - po.start, worst_dist=worst)
 
 
 def shadow_pseudo_orbit(po, eps):
@@ -238,10 +238,11 @@ def shadow_pseudo_orbit(po, eps):
     pseudo-orbit touching one is a single run of that satellite's orbit,
     traced by its own point at time zero. Otherwise every satellite in the
     pseudo-orbit sits at level m or deeper; projecting to the base costs
-    at most 1/m per point, the projected run is traced by a base point
-    within eps/2, and the combined error stays below eps. The result is
-    verified at every index before being returned, on one window per run
-    (space.orbit_within); verify_shadow gives the exact worst distance.
+    at most 1/m per point, the projected runs are traced by a base point
+    within eps/2 (base_shadow, one slice per run), and the combined error
+    stays below eps. The result is verified at every index before being
+    returned, on one window per run (space.orbit_within); verify_shadow
+    gives the exact worst distance.
     """
     mod = shadow_modulus(eps)
     if po.delta is None:
@@ -251,12 +252,13 @@ def shadow_pseudo_orbit(po, eps):
         raise ValueError(
             f"pseudo-orbit delta {po.delta} is too coarse; tracing at eps={eps} "
             f"needs delta <= {mod.delta}")
-    pts = po.points
-    if any(isinstance(p, ExtraPoint) and p.k < mod.m for p in pts):
+    # a run rides one orbit, so its first point tells its kind and level
+    heads = [(first, last, po.at(first)) for first, last in po.runs]
+    if any(isinstance(x, ExtraPoint) and x.k < mod.m for _, _, x in heads):
         result = po.at(0)
     else:
-        traced = base_shadow([project(p) for p in pts], mod.base_exp)
-        result = aug_iterate(BasePoint(traced), -po.start)
+        result = BasePoint(base_shadow(
+            [(a, b, project(x).shift(-a)) for a, b, x in heads], mod.base_exp))
     # the modulus arithmetic forbids a failure here
     if not orbit_within(result, po, eps):  # pragma: no cover
         raise RuntimeError("traced point failed its own verification: "
@@ -321,20 +323,24 @@ class LimitShadowReport:
     candidates: tuple     # canonical keys of the representatives tried
 
 
-def _decay(dists, thresholds):
+def _decays(y, po, thresholds, past=False):
     """((threshold, first index), ...): for each threshold, the first index
-    from which every listed distance stays strictly below it, or None.
+    from which every distance d(aug_iterate(y, t), po.at(t)) stays strictly
+    below it, or None. Indices count the steps from time 0 over [0,
+    po.end], or with past back over [po.start, 0].
 
-    The suffix maxima, read from the end, do not decrease, so the number
-    of them below a threshold is the length of the longest tail below it.
-    That tail must hold at least two entries; a single matching value at
-    the very end is no evidence of decay (the traced point always agrees
-    with the final pseudo-orbit entry by construction).
+    The index is one past the failing time farthest from time 0
+    (space.failure_times), or 0 when none fails. That tail must hold at
+    least two entries; a single matching value at the very end is no
+    evidence of decay (the traced point always agrees with the final
+    pseudo-orbit entry by construction).
     """
-    tops = list(accumulate(reversed(dists), max))
-    tails = [bisect_left(tops, th) for th in thresholds]
-    return tuple((th, len(dists) - n if n >= 2 else None)
-                 for th, n in zip(thresholds, tails))
+    steps = -po.start if past else po.end
+    out = []
+    for th, t in zip(thresholds, failure_times(y, po, thresholds, past)):
+        idx = 0 if t is None else abs(t) + 1
+        out.append((th, idx if idx < steps else None))
+    return tuple(out)
 
 
 def _check_thresholds(thresholds):
@@ -349,7 +355,8 @@ def limit_shadow(sys, lpo, thresholds=None):
     first schedule index whose bound meets the tracing modulus for
     resolution AMBIENT/(j+1), then pulls the traced point back to time
     zero. Finer resolutions keep producing stages as long as the schedule
-    supports them, up to eight; three stages are the minimum. The stage-1
+    supports them, up to eight; three stages are the minimum. Stages that
+    share their start and modulus share one trace. The stage-1
     point's stable classes (at the iterate where their count stabilizes
     within 16 steps) provide finitely many candidates, and the candidate
     whose forward distance to the prefix passes every requested threshold
@@ -369,20 +376,28 @@ def limit_shadow(sys, lpo, thresholds=None):
         entry = next(((k, b) for k, b in lpo.schedule if b <= mod.delta), None)
         if entry is None or entry[0] > horizon - 2:
             break
-        start = entry[0]
-        tail = lpo.tail(start, mod.delta)
-        stages.append((res, start, mod.delta, shadow_pseudo_orbit(tail, res)))
+        stages.append((res, (entry[0], mod.m, mod.base_exp)))
     if len(stages) < 3:
         raise ScheduleError(
             "prefix too short relative to the schedule: "
             f"only {len(stages)} usable stages")
+    # Stages with one key (start, m, base_exp) trace the same tail with the
+    # same modulus, hence to the same point. It is traced once and verified
+    # at the key's finest resolution, the last one listed, which implies
+    # the coarser ones.
+    finest = {key: res for res, key in stages}
+    traced = {key: shadow_pseudo_orbit(lpo.tail(key[0], Fraction(1, key[1])),
+                                       res)
+              for key, res in finest.items()}
     # a stage's point sits at its start; stage 1's, at time 0, is the reference
-    first = aug_iterate(stages[0][3], -stages[0][1])
+    first = aug_iterate(traced[stages[0][1]], -stages[0][1][0])
+    consistent = {key: in_local_stable(point, aug_iterate(first, key[0]),
+                                       AMBIENT)
+                  for key, point in traced.items()}
     stage_reports = tuple(
-        LimitStage(resolution=res, start_index=start, gap_bound=bound,
-                   consistent=in_local_stable(
-                       traced, aug_iterate(first, start), AMBIENT))
-        for res, start, bound, traced in stages)
+        LimitStage(resolution=res, start_index=key[0],
+                   gap_bound=Fraction(1, key[1]), consistent=consistent[key])
+        for res, key in stages)
     try:
         stab, _ = stabilization_index(sys, first, AMBIENT, 16)
     except StabilizationNotReached:
@@ -394,7 +409,7 @@ def limit_shadow(sys, lpo, thresholds=None):
         thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
     missed = set(thresholds)
     for cand in candidates:
-        decay = _decay(orbit_dists(cand, lpo), thresholds)
+        decay = _decays(cand, lpo, thresholds)
         if all(idx is not None for _, idx in decay):
             break
         missed &= {th for th, idx in decay if idx is None}
@@ -498,7 +513,7 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
         # traced past point are those of the past to p1's orbit
         for side, point, half in (("past", past_report.point, past_half),
                                   ("future", p2, future_half)):
-            [(_, idx)] = _decay(orbit_dists(point, half), (delta,))
+            [(_, idx)] = _decays(point, half, (delta,))
             if idx is None:
                 raise ScheduleError(
                     f"{side} tail never comes within the gluing bound {delta}")
@@ -523,9 +538,8 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")
-    dists, split = orbit_dists(final, tslpo), -tslpo.start
-    past_decay, future_decay = (_decay(half, thresholds)
-                                for half in (dists[split::-1], dists[split:]))
+    past_decay, future_decay = (_decays(final, tslpo, thresholds, past)
+                                for past in (True, False))
     for side, decay in (("past", past_decay), ("future", future_decay)):
         missing = [str(th) for th, idx in decay if idx is None]
         if missing:

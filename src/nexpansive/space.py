@@ -30,8 +30,9 @@ from nexpansive.base import (
     BiSeq,
     agree_radius,
     dyadic,
+    _diff_bits,
     mismatch_radius,
-    nearest_mismatches,
+    nearest_mismatch,
     periodic_point,
 )
 
@@ -229,52 +230,117 @@ def aug_iterate(x, t):
     return ExtraPoint(x.i, x.k, (x.j + t) % (x.k + 1))
 
 
-def orbit_dists(y, po):
-    """The list of aug_dist(aug_iterate(y, t), po.at(t)) over the times t
-    of the pseudo-orbit po, in time order.
+def _carriers(y, po, lo, hi):
+    """(first, last, z, levels) for each run of po, clipped to [lo, hi].
 
-    Along a run of po (po.runs) the points ride one true orbit, so every
-    time t of the run has the same z = project(po.at(t)).shift(-t) and the
-    same tag levels, read once at the run's first time. At t the base part
-    is 2**-r with r the least |j - t| over the mismatch set
-    {j : project(y)[j] != z[j]}. Runs are grouped by z, and each group's
-    times cost one sweep of base.nearest_mismatches, not one base_dist per
-    time.
+    Along a run the points ride one true orbit, so every time t of it has
+    the same z = project(po.at(t)).shift(-t) and the same tag levels of
+    (aug_iterate(y, t), po.at(t)); both are read at the run's first time.
+    At t the distance is then level_gap(*levels) + 2**-r, r the least
+    |j - t| over the mismatches j of project(y) against z (no base part
+    when there are none).
     """
-    py = project(y)
-    groups = {}
     for first, last in po.runs:
-        z = project(po.at(first)).shift(-first)
-        groups.setdefault(z, []).append((first, last))
-    out = [None] * len(po.points)
-    for z, runs in groups.items():
-        times = [t for first, last in runs for t in range(first, last + 1)]
-        rs = iter([None] * len(times) if z == py
-                  else nearest_mismatches(py, z, times))
-        for first, last in runs:
-            levels = tag_levels(aug_iterate(y, first), po.at(first))
-            for t in range(first, last + 1):
-                out[t - po.start] = _dist(next(rs), *levels)
-    return out
+        first, last = max(first, lo), min(last, hi)
+        if first <= last:
+            x = po.at(first)
+            yield (first, last, project(x).shift(-first),
+                   tag_levels(aug_iterate(y, first), x))
 
 
 def orbit_within(y, po, eps):
-    """True when every entry of orbit_dists(y, po) is <= eps.
+    """True when aug_dist(aug_iterate(y, t), po.at(t)) <= eps at every
+    time t of the pseudo-orbit po.
 
-    Along a run of po, with z = project(po.at(t)).shift(-t) and the tag
-    levels the same at every time t, an entry is at most eps exactly when
+    Along a run (_carriers) an entry is at most eps exactly when
     project(y) and z agree on |j - t| < m, m = residual_radius(eps, k, l,
     False); None fails at once. So each run is checked on one window, its
     times widened by m - 1 on each side.
     """
     seq = project(y)
-    for first, last in po.runs:
-        x = po.at(first)
-        m = residual_radius(eps, *tag_levels(aug_iterate(y, first), x), False)
-        if m is None or not _run_agrees(seq, project(x).shift(-first), m,
-                                        first, last):
+    for first, last, z, levels in _carriers(y, po, po.start, po.end):
+        m = residual_radius(eps, *levels, False)
+        if m is None or not _run_agrees(seq, z, m, first, last):
             return False
     return True
+
+
+def orbit_worst(y, po):
+    """(t, d): the largest d = aug_dist(aug_iterate(y, t), po.at(t)) over
+    the times t of the pseudo-orbit po, at the first time attaining it.
+
+    Along a run (_carriers) the base part is largest where a mismatch of
+    project(y) against z is nearest: at the first mismatch inside the run
+    (base part 1), or else at the end nearer to the nearest mismatch
+    beyond it, the first time on a tie. base.nearest_mismatch finds that
+    mismatch in one outward scan, so each run costs one scan and one
+    exact distance, whatever its length.
+    """
+    seq = project(y)
+    worst = None
+    for first, last, z, levels in _carriers(y, po, po.start, po.end):
+        j = nearest_mismatch(seq, z, first, last)
+        if j is None:
+            t, r = first, None
+        elif j < first:
+            t, r = first, first - j
+        elif j > last:
+            t, r = last, j - last
+        else:
+            t, r = j, 0
+        d = _dist(r, *levels)
+        if worst is None or d > worst[1]:
+            worst = t, d
+    return worst
+
+
+def failure_times(y, po, thresholds, past=False):
+    """For each threshold th, the time t farthest from time 0 with
+    aug_dist(aug_iterate(y, t), po.at(t)) >= th: the last one in [0,
+    po.end], or with past the first one in [po.start, 0]; None where no
+    time on that side fails.
+
+    Along a run (_carriers) a time t fails exactly when some mismatch j
+    of project(y) against z has |j - t| < m, m = residual_radius(th, k,
+    l, True) (always for None, never for 0). The runs are read from the
+    far end toward time 0, and a threshold is settled by the first run in
+    which it fails. Each run makes one XOR mask over its times widened by
+    the largest m still needed; from it the last failing time is
+    min(last, j + m - 1) for the largest mismatch j below last + m (with
+    past, the first is max(first, j - m + 1) for the smallest j above
+    first - m), provided that j lies within m of the run.
+    """
+    seq = project(y)
+    lo, hi = (po.start, 0) if past else (0, po.end)
+    runs = list(_carriers(y, po, lo, hi))
+    if not past:
+        runs.reverse()
+    found, pending = {}, set(thresholds)
+    for first, last, z, levels in runs:
+        if not pending:
+            break
+        radii = {th: residual_radius(th, *levels, True) for th in pending}
+        reach = max((m for m in radii.values() if m), default=0)
+        mask = 0
+        if reach and seq != z:
+            # bit b of the mask stands for index hi_w - 1 - b
+            lo_w, hi_w = first - reach + 1, last + reach
+            mask = _diff_bits(seq.window(lo_w, hi_w), z.window(lo_w, hi_w))
+        for th, m in radii.items():
+            if m is None:
+                found[th] = first if past else last
+            elif m and mask and past:
+                near = mask & ((1 << (hi_w - first + m - 1)) - 1)
+                j = hi_w - near.bit_length()
+                if near and j < last + m:
+                    found[th] = max(first, j - m + 1)
+            elif m and mask:
+                near = mask >> (reach - m)
+                j = last + m - (near & -near).bit_length()
+                if near and j > first - m:
+                    found[th] = min(last, j + m - 1)
+        pending -= found.keys()
+    return tuple(found.get(th) for th in thresholds)
 
 
 def _run_agrees(seq, z, m, lo, hi):

@@ -40,6 +40,19 @@ def brute_min_mismatch(x, y, bound=None):
     return None
 
 
+def brute_nearest_mismatch(x, y, lo, hi, bound):
+    """The first i in [lo, hi] with x[i] != y[i]; else the nearest such i
+    within bound of the stretch, the one below lo on a tie; else None."""
+    for i in range(lo, hi + 1):
+        if x[i] != y[i]:
+            return i
+    for d in range(1, bound + 1):
+        for i in (lo - d, hi + d):
+            if x[i] != y[i]:
+                return i
+    return None
+
+
 def brute_base_dist(x, y):
     m = brute_min_mismatch(x, y)
     return Fraction(0) if m is None else Fraction(1, 2) ** m
@@ -207,6 +220,12 @@ def brute_orbit_dists(y, points, start=0):
     """d(f^(start + i) y, points[i]) for every i, one aug_dist per index."""
     return [aug_dist(aug_iterate(y, start + i), x)
             for i, x in enumerate(points)]
+
+
+def point_runs(seqs):
+    """A list of sequences, entry t at time t, as base_shadow's runs: one
+    run (t, t, z) per entry, z the entry moved back to time 0."""
+    return [(t, t, seq.shift(-t)) for t, seq in enumerate(seqs)]
 
 
 def brute_decay_index(dists, threshold):

@@ -50,7 +50,7 @@ from nexpansive.samples import (
     random_triple,
     switching_limit_orbit,
 )
-from oracles import brute_shadow_search, closure_classes
+from oracles import brute_shadow_search, closure_classes, point_runs
 
 QUARTER = Fraction(1, 4)
 LEVELS = (2, 3, 5)
@@ -306,7 +306,7 @@ def test_criterion_10_oracle_equivalence():
             pts.append(nxt)
         seqs = [p.seq for p in pts]
         best = brute_shadow_search(seqs, 5, window=4)
-        traced = base_shadow(seqs, 5)
+        traced = base_shadow(point_runs(seqs), 5)
         worst = max(base_dist(traced.shift(i), seqs[i])
                     for i in range(len(seqs)))
         ok = ok and best <= dyadic(5) and worst <= dyadic(5)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from nexpansive.base import (
     glue_specification,
     left_tails_agree,
     mismatch_radius,
+    nearest_mismatch,
     periodic_orbit,
     periodic_point,
     right_tails_agree,
@@ -36,11 +38,13 @@ from oracles import (
     brute_least_period,
     brute_left_tails_agree,
     brute_min_mismatch,
+    brute_nearest_mismatch,
     brute_right_tails_agree,
     brute_shadow_search,
     loop_chain_depth,
     loop_modulus_exp,
     loop_spacing_radius,
+    point_runs,
 )
 
 ZEROS = BiSeq("0")
@@ -293,14 +297,14 @@ def random_base_pseudo_orbit(rng, length, exp):
 class TestBaseShadow:
     def test_true_orbit_returns_same_point(self):
         x = BiSeq("01", "100", "0", -1)
-        assert base_shadow([x.shift(t) for t in range(6)], 4) == x
+        assert base_shadow([(0, 5, x)], 4) == x
 
     def test_two_pattern_glue(self):
         # move from all zeros toward all ones through a splice, jumps < 1/4
         mid = BiSeq("0", "", "1", 3)      # zeros up to index 2, ones after
         po = [ZEROS, mid.shift(-1), mid]
         # jump sizes: d(zeros, shift(mid,-1)) has first mismatch at index 4
-        traced = base_shadow(po, 2)
+        traced = base_shadow(point_runs(po), 2)
         for i, x in enumerate(po):
             assert base_dist(traced.shift(i), x) <= dyadic(2)
         assert traced[0] == "0"
@@ -309,14 +313,14 @@ class TestBaseShadow:
         rng = random.Random(23)
         for _ in range(20):
             po = random_base_pseudo_orbit(rng, 100, 6)
-            traced = base_shadow(po, 6)
+            traced = base_shadow(point_runs(po), 6)
             assert all(base_dist(traced.shift(i), po[i]) <= dyadic(6)
                        for i in range(len(po)))
 
     def test_gap_violation_reports_index(self):
         po = [ZEROS, ZEROS, ONES]
         with pytest.raises(ValueError, match="index 1"):
-            base_shadow(po, 3)
+            base_shadow(point_runs(po), 3)
 
     @pytest.mark.parametrize("e", [1, 2, 5])
     def test_gap_exactly_at_the_bound(self, e):
@@ -326,9 +330,9 @@ class TestBaseShadow:
         for sign in (1, -1):
             at = [x, flip_symbol(x.shift(1), sign * e)]
             with pytest.raises(ValueError, match=f"gap 1/{2 ** e} at index 0"):
-                base_shadow(at, e)
+                base_shadow(point_runs(at), e)
             below = [x, flip_symbol(x.shift(1), sign * (e + 1))]
-            assert base_shadow(below, e)[0] == x[0]
+            assert base_shadow(point_runs(below), e)[0] == x[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -352,11 +356,43 @@ class TestBaseShadow:
         if bad:
             with pytest.raises(ValueError,
                                match=f"gap {gaps[bad[0]]} at index {bad[0]} "):
-                base_shadow(po, e)
+                base_shadow(point_runs(po), e)
         else:
-            traced = base_shadow(po, e)
+            traced = base_shadow(point_runs(po), e)
             assert all(brute_base_dist(traced.shift(t), p) <= dyadic(e)
                        for t, p in enumerate(po))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_maximal_runs_trace_like_single_points(self, data):
+        # the same pseudo-orbit over the times start.., once as one run per
+        # point and once as its maximal runs: the traced points agree, and
+        # a gap is reported at the same index
+        e = data.draw(st.integers(1, 5))
+        start = data.draw(st.integers(-6, 6))
+        seq = BiSeq(data.draw(words), data.draw(cores), data.draw(words),
+                    data.draw(offsets))
+        po = [seq]
+        for _ in range(data.draw(st.integers(0, 12))):
+            nxt = po[-1].shift(1)
+            if data.draw(st.booleans()):
+                nxt = flip_symbol(nxt, data.draw(st.sampled_from(
+                    [-e - 2, -e - 1, -e, e, e + 1, e + 2])))
+            po.append(nxt)
+        runs = []
+        for t, p in enumerate(po, start):
+            z = p.shift(-t)
+            if runs and runs[-1][2] == z:
+                runs[-1][1] = t
+            else:
+                runs.append([t, t, z])
+        try:
+            want = base_shadow(point_runs(po), e).shift(-start)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                base_shadow(runs, e)
+        else:
+            assert base_shadow(runs, e) == want
 
     def test_matches_exhaustive_search(self):
         rng = random.Random(29)
@@ -364,7 +400,7 @@ class TestBaseShadow:
             po = random_base_pseudo_orbit(rng, rng.randint(2, 6), 5)
             best = brute_shadow_search(po, 5, window=4)
             assert best <= dyadic(5)
-            traced = base_shadow(po, 5)
+            traced = base_shadow(point_runs(po), 5)
             worst = max(base_dist(traced.shift(i), po[i])
                         for i in range(len(po)))
             assert worst <= dyadic(5)
@@ -512,6 +548,26 @@ class TestMismatchRadius:
     def test_matches_brute_base_dist(self, pair):
         x, y = pair
         assert base_dist(x, y) == brute_base_dist(x, y)
+
+    @settings(max_examples=400, deadline=None)
+    @given(radius_pairs(), st.integers(-500, 500), st.integers(0, 60))
+    def test_nearest_to_a_stretch_matches_symbol_scan(self, pair, lo, length):
+        x, y = pair
+        hi = lo + length
+        bound = RADIUS_SCAN + abs(lo) + abs(hi)
+        assert nearest_mismatch(x, y, lo, hi) == brute_nearest_mismatch(
+            x, y, lo, hi, bound)
+        m = nearest_mismatch(x, y, 0, 0)
+        assert mismatch_radius(x, y) == (None if m is None else abs(m))
+
+    def test_nearest_to_a_stretch_prefers_below_on_a_tie(self):
+        x = BiSeq("0")
+        for lo, hi, below, above, want in (
+                (3, 9, 1, 11, 1), (3, 9, 0, 11, 11), (-40, -20, -90, 30, -90),
+                (-40, -20, -91, 30, 30), (5, 5, 5 - 33, 5 + 33, 5 - 33)):
+            y = flip_symbol(flip_symbol(x, below), above)
+            assert nearest_mismatch(x, y, lo, hi) == want
+            assert nearest_mismatch(x, flip_symbol(y, hi), lo, hi) == hi
 
     @pytest.mark.parametrize("at", PROBE_EDGES)
     def test_single_flip_at_the_probe_edges(self, at):

@@ -1,10 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import nexpansive
 from nexpansive.cli import _fraction_arg, main
 
 
@@ -332,3 +337,26 @@ def test_limit_shadow_stages_start_at_eight(runner, tmp_path, via):
     assert not (tmp_path / "limit-shadow.json").exists()
     run_ok(runner, tmp_path, ["limit-shadow", *args(8)])
     assert load(tmp_path, "limit-shadow")["config"]["stages"] == 8
+
+
+def test_limit_shadow_at_its_stage_limit_stays_small(tmp_path):
+    # the decay reads one mismatch mask per run and builds no per-index
+    # distance; a list of them (each up to 2**-32768 at this size) would
+    # hold about 100 MiB
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+    src = os.path.dirname(os.path.dirname(nexpansive.__file__))
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from nexpansive.cli import main; main()",
+             "limit-shadow", "--stages", "15", "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+            stderr=err, preexec_fn=limit_cpu)
+        # wait4 reaps the child itself and returns its resource usage
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read()
+    assert load(tmp_path, "limit-shadow")["ok"]
+    assert usage.ru_maxrss < 60 * 1024  # KiB on Linux

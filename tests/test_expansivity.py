@@ -251,9 +251,9 @@ class TestDynamicBalls:
         # a window supremum is one mismatch scan, so no orbit segment is
         # swept, whatever the horizon and whichever the center's kind
         def refuse(*args):
-            raise AssertionError("orbit_dists called")
+            raise AssertionError("an orbit sweep ran")
 
-        monkeypatch.setattr(space, "orbit_dists", refuse)
+        monkeypatch.setattr(space, "_carriers", refuse)
         radius = Fraction(3, 4)
         for center in (BasePoint(periodic_point(5)), ExtraPoint(1, 5, 0)):
             ball = dynamic_ball(sys3, center, radius, mode="horizon",

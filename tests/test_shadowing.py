@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexpansive.base import BiSeq, dyadic, flip_symbol, periodic_point
+from nexpansive import shadowing
+from nexpansive.base import (BiSeq, base_shadow, dyadic, flip_symbol,
+                             periodic_point)
 from nexpansive.space import (
     AugSystem,
     BasePoint,
@@ -13,15 +16,27 @@ from nexpansive.space import (
     aug_dist,
     aug_iterate,
     aug_map,
+    canonical_key,
     mirror_point,
+    project,
 )
-from nexpansive.expansivity import in_stable_set, in_unstable_set
+from nexpansive.expansivity import (
+    StabilizationNotReached,
+    in_local_stable,
+    in_stable_set,
+    in_unstable_set,
+    stabilization_index,
+    stable_class_count,
+)
 from nexpansive.shadowing import (
+    AMBIENT,
     DecayThresholdError,
     IsolationError,
+    LimitShadowReport,
+    LimitStage,
     PseudoOrbit,
     ScheduleError,
-    _decay,
+    _decays,
     _mirror_limit_orbit,
     limit_shadow,
     shadow_modulus,
@@ -35,9 +50,11 @@ from nexpansive.samples import (
     drifting_two_sided_orbit,
     hop_pseudo_orbit,
     piecewise_periodic,
+    random_point,
     switching_limit_orbit,
 )
-from oracles import brute_decay_index, brute_runs, brute_schedule_ok
+from oracles import (brute_decay_index, brute_orbit_dists, brute_runs,
+                     brute_schedule_ok, point_runs)
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -402,32 +419,194 @@ class TestPiecewisePeriodic:
             assert got[t] == seqs[region][t]
 
 
-# distances and thresholds share one pool: thresholds equal to entries, 0
-# and 1, dyadic and non-dyadic values
-DECAY_VALUES = (Fraction(0), Fraction(1), *(dyadic(e) for e in range(1, 6)),
-                Fraction(1, 3), Fraction(5, 48), Fraction(2, 7))
+# thresholds: dyadic and non-dyadic values, sums of a tag and a dyadic, the
+# diameter 3 and one far below every distance drawn here
+DECAY_THRESHOLDS = (*(dyadic(e) for e in range(7)), Fraction(1, 3),
+                    Fraction(5, 48), Fraction(2, 7), Fraction(19, 48),
+                    Fraction(3), Fraction(1, 2 ** 40))
+
+
+def _riders(po, picks):
+    """The points whose orbits ride po at the picked indices."""
+    return [aug_iterate(po.points[i % len(po.points)],
+                        -(po.start + i % len(po.points))) for i in picks]
+
+
+@st.composite
+def decay_cases(draw):
+    """(y, po): a hop pseudo-orbit with satellites over times from start <=
+    0, or a switching, drifting or mirrored drifting one, and a rider of
+    it, a satellite, a random point or a base trace of it."""
+    kind = draw(st.sampled_from(["hop", "switching", "drifting", "mirrored"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    sys3 = AugSystem(3, "standard", 64)
+    if kind == "hop":
+        delta_exp = draw(st.integers(4, 8))
+        pts = hop_pseudo_orbit(sys3, rng, length=draw(st.integers(1, 40)),
+                               delta_exp=delta_exp).points
+        # the bound 4 exceeds the diameter 3, so every start validates
+        po = PseudoOrbit(pts, 4, -min(draw(st.integers(0, 8)), len(pts) - 1))
+        extra = [ExtraPoint(1, 2 ** delta_exp + 1, 3), BasePoint(base_shadow(
+            point_runs([project(p) for p in pts]), delta_exp))]
+    elif kind == "switching":
+        words = draw(st.sampled_from([("001", "01"), ("0", "1"),
+                                      ("011", "0001")]))
+        po = switching_limit_orbit(*words, stages=draw(st.integers(3, 7)))
+        extra = [BasePoint(BiSeq(words[0]))]
+    else:
+        words = draw(st.sampled_from([("001", "0001"), ("01", "1"),
+                                      ("0", "011")]))
+        po = drifting_two_sided_orbit(*words, half=draw(st.integers(8, 48)),
+                                      defect_step=draw(st.integers(1, 5)))
+        if kind == "mirrored":
+            po = _mirror_limit_orbit(po)
+        extra = []
+    picks = draw(st.lists(st.integers(0, 96), min_size=1, max_size=3))
+    ys = _riders(po, picks) + extra + [random_point(sys3, rng, 10)]
+    return draw(st.sampled_from(ys)), po
 
 
 class TestDecay:
-    @settings(max_examples=1000, deadline=None)
-    @given(st.lists(st.sampled_from(DECAY_VALUES), max_size=40),
-           st.lists(st.sampled_from((*DECAY_VALUES, Fraction(1, 2 ** 40))),
-                    max_size=6))
-    def test_matches_backward_scan(self, dists, thresholds):
-        assert _decay(dists, thresholds) == tuple(
-            (th, brute_decay_index(dists, th)) for th in thresholds)
+    """_decays on both sides of time 0, and verify_shadow, against
+    brute_decay_index and the maximum over brute_orbit_dists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decay_cases(), st.lists(st.sampled_from(DECAY_THRESHOLDS),
+                                   max_size=6), st.data())
+    def test_matches_backward_scan(self, case, thresholds, data):
+        y, po = case
+        dists = brute_orbit_dists(y, po.points, po.start)
+        # thresholds equal to listed distances, where a tie fails
+        thresholds += data.draw(st.lists(st.sampled_from(dists), max_size=3))
+        split = -po.start
+        for past, half in ((True, dists[split::-1]), (False, dists[split:])):
+            assert _decays(y, po, thresholds, past) == tuple(
+                (th, brute_decay_index(half, th)) for th in thresholds)
+        worst = max(dists)
+        for eps in (worst, *thresholds):
+            check = verify_shadow(po, y, eps)
+            assert (check.ok, check.worst_index, check.worst_dist) == (
+                worst <= eps, dists.index(worst), worst)
 
     @pytest.mark.parametrize("dists", [
-        [], [Fraction(0)], [Fraction(1)], [Fraction(0), Fraction(0)],
+        [Fraction(1, 4), Fraction(1, 2), Fraction(0)], [Fraction(0)],
+        [Fraction(1)], [Fraction(0), Fraction(0)],
         [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
         [Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2)] * 5])
     def test_two_trailing_entries(self, dists):
+        # the point 0^Z against flips of it realizing the listed distances,
+        # from time 0 forward and, mirrored, backward
+        zero = BiSeq("0")
+        pts = [BasePoint(zero if d == 0 else flip_symbol(
+            zero, d.denominator.bit_length() - 1)) for d in dists]
         thresholds = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
-        decay = _decay(dists, thresholds)
-        assert decay == tuple((th, brute_decay_index(dists, th))
-                              for th in thresholds)
-        for th, idx in decay:
-            assert idx is None or len(dists) - idx >= 2
+        want = tuple((th, brute_decay_index(dists, th)) for th in thresholds)
+        y = BasePoint(zero)
+        for po, past in ((PseudoOrbit(pts, 4), False),
+                         (PseudoOrbit(pts[::-1], 4, 1 - len(pts)), True)):
+            assert brute_orbit_dists(y, po.points, po.start) == (
+                dists[::-1] if past else dists)
+            decay = _decays(y, po, thresholds, past)
+            assert decay == want
+            for th, idx in decay:
+                assert idx is None or len(dists) - idx >= 2
+
+
+def _limit_shadow_per_stage(sys, lpo, thresholds):
+    """limit_shadow with one trace per stage, each verified at its own
+    resolution: the loop that one trace per stage key replaced."""
+    horizon = len(lpo.points)
+    stages = []
+    for j in range(1, 9):
+        res = AMBIENT / (j + 1)
+        mod = shadow_modulus(res)
+        entry = next(((k, b) for k, b in lpo.schedule if b <= mod.delta), None)
+        if entry is None or entry[0] > horizon - 2:
+            break
+        start = entry[0]
+        tail = lpo.tail(start, mod.delta)
+        stages.append((res, start, mod.delta, shadow_pseudo_orbit(tail, res)))
+    if len(stages) < 3:
+        raise ScheduleError(
+            "prefix too short relative to the schedule: "
+            f"only {len(stages)} usable stages")
+    first = aug_iterate(stages[0][3], -stages[0][1])
+    stage_reports = tuple(
+        LimitStage(resolution=res, start_index=start, gap_bound=bound,
+                   consistent=in_local_stable(
+                       traced, aug_iterate(first, start), AMBIENT))
+        for res, start, bound, traced in stages)
+    try:
+        stab, _ = stabilization_index(sys, first, AMBIENT, 16)
+    except StabilizationNotReached:
+        stab = 0
+    anchor = aug_iterate(first, stab)
+    reps = stable_class_count(sys, anchor, AMBIENT).representatives
+    candidates = [aug_iterate(r, -stab) for r in reps]
+    missed = set(thresholds)
+    for cand in candidates:
+        decay = _decays(cand, lpo, thresholds)
+        if all(idx is not None for _, idx in decay):
+            break
+        missed &= {th for th, idx in decay if idx is None}
+    else:
+        raise DecayThresholdError(
+            f"none of {len(candidates)} candidates decays through "
+            f"{[str(t) for t in thresholds if t in missed]}")
+    return LimitShadowReport(
+        point=cand, decay=decay, stages=stage_reports, stabilization=stab,
+        candidates=tuple(canonical_key(c) for c in candidates))
+
+
+def _same_limit_outcome(sys, lpo, thresholds):
+    """limit_shadow and the per-stage loop give equal reports, or raise
+    the same error."""
+    try:
+        want = _limit_shadow_per_stage(sys, lpo, thresholds)
+    except (DecayThresholdError, ScheduleError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            limit_shadow(sys, lpo, thresholds=thresholds)
+    else:
+        assert limit_shadow(sys, lpo, thresholds=thresholds) == want
+
+
+class TestStageSharing:
+    """One trace per stage key against one trace per stage."""
+
+    @pytest.mark.parametrize("stages", range(8, 13))
+    @pytest.mark.parametrize("words", [("001", "01"), ("011", "0001")])
+    def test_switching_orbits(self, sys3, words, stages):
+        _same_limit_outcome(sys3, switching_limit_orbit(*words, stages=stages),
+                            tuple(dyadic(t) for t in range(1, 6)))
+
+    @pytest.mark.parametrize("half", [64, 100, 256, 512])
+    def test_drifting_halves(self, sys3, half):
+        ts = drifting_two_sided_orbit(half=half)
+        thresholds = tuple(dyadic(t) for t in range(1, 5))
+        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+            _same_limit_outcome(sys3, lpo, thresholds)
+
+    def test_one_trace_per_key_at_its_finest_resolution(self, sys3,
+                                                        monkeypatch):
+        lpo = switching_limit_orbit(stages=10)
+        calls = []
+        trace = shadowing.shadow_pseudo_orbit
+
+        def spy(tail, eps):
+            calls.append((len(lpo.points) - len(tail.points), tail.delta,
+                          eps))
+            return trace(tail, eps)
+
+        monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", spy)
+        report = limit_shadow(sys3, lpo)
+        finest = {}
+        for stage in report.stages:
+            key = stage.start_index, stage.gap_bound
+            finest[key] = min(finest.get(key, stage.resolution),
+                              stage.resolution)
+        assert len(report.stages) == 8 and len(finest) == 4
+        assert sorted(calls) == sorted((*key, eps)
+                                       for key, eps in finest.items())
 
 
 class TestLimitShadowing:

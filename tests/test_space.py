@@ -23,10 +23,11 @@ from nexpansive.space import (
     aug_map,
     canonical_key,
     dist_below,
+    failure_times,
     mirror_point,
-    orbit_dists,
     orbit_label,
     orbit_within,
+    orbit_worst,
     project,
     tail_label,
 )
@@ -43,6 +44,7 @@ from oracles import (
     brute_base_dist,
     brute_orbit_dists,
     brute_tagged_point,
+    point_runs,
 )
 
 
@@ -336,8 +338,28 @@ def _any_po(points, back):
     return PseudoOrbit(points, 4, -min(back, len(points) - 1))
 
 
+def _assert_sweeps(y, po):
+    """orbit_worst, and failure_times on both sides, against the per-index
+    oracle brute_orbit_dists: the first time of the largest distance, and
+    for each threshold the failing time farthest from 0 on each side."""
+    dists = brute_orbit_dists(y, po.points, po.start)
+    worst = max(dists)
+    assert orbit_worst(y, po) == (po.start + dists.index(worst), worst)
+    ths = sorted(th for th in _bounds_around(dists, po.points) | SWEEP_BOUNDS
+                 if th > 0)
+    for past, side in ((False, range(0, po.end + 1)),
+                       (True, range(po.start, 1))):
+        want = []
+        for th in ths:
+            failing = [t for t in side if dists[t - po.start] >= th]
+            want.append((failing[0] if past else failing[-1])
+                        if failing else None)
+        assert failure_times(y, po, ths, past) == tuple(want), (y, past)
+
+
 class TestOrbitDists:
-    """orbit_dists against the per-index oracle brute_orbit_dists."""
+    """The run sweeps orbit_worst and failure_times against the per-index
+    oracle brute_orbit_dists."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(5, 10), st.integers(0, 2**32 - 1), st.integers(1, 40),
@@ -351,9 +373,10 @@ class TestOrbitDists:
         ys = _riders(pts, po.start, picks) + [
             random_point(sys3, rng, 10),
             ExtraPoint(1, 2 ** delta_exp + 1, rng.randint(0, 2 ** delta_exp)),
-            BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
+            BasePoint(base_shadow(point_runs([project(p) for p in pts]),
+                                  delta_exp))]
         for y in ys:
-            assert orbit_dists(y, po) == brute_orbit_dists(y, pts, po.start)
+            _assert_sweeps(y, po)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([("001", "01"), ("0", "1"), ("011", "0001")]),
@@ -362,7 +385,7 @@ class TestOrbitDists:
         po = switching_limit_orbit(*words, stages=stages)
         pts = po.points
         for y in _riders(pts, 0, picks) + [BasePoint(BiSeq(words[0]))]:
-            assert orbit_dists(y, po) == brute_orbit_dists(y, pts)
+            _assert_sweeps(y, po)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
@@ -372,8 +395,7 @@ class TestOrbitDists:
         po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
         assert po.start < 0
         for y in _riders(po.points, po.start, picks):
-            assert (orbit_dists(y, po)
-                    == brute_orbit_dists(y, po.points, po.start))
+            _assert_sweeps(y, po)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 29),
@@ -384,8 +406,7 @@ class TestOrbitDists:
         start = -min(back, length - 1)
         own = [aug_iterate(q, start + t) for t in range(length)]
         for pts in (own, _mixed_riders(own, rng)):
-            assert (orbit_dists(q, PseudoOrbit(pts, 4, start))
-                    == brute_orbit_dists(q, pts, start))
+            _assert_sweeps(q, PseudoOrbit(pts, 4, start))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 29),
@@ -396,8 +417,7 @@ class TestOrbitDists:
         y = random_point(sys3, rng, 10)
         start = -min(back, length - 1)
         pts = [aug_iterate(y, start + t) for t in range(length)]
-        assert (orbit_dists(y, PseudoOrbit(pts, 4, start))
-                == [Fraction(0)] * length)
+        assert orbit_worst(y, PseudoOrbit(pts, 4, start)) == (start, 0)
         # one index moves off: a flip of a base point, or a satellite's copy
         # or base point at the same position
         i = rng.randrange(length)
@@ -406,8 +426,7 @@ class TestOrbitDists:
         else:
             pts[i] = rng.choice([ExtraPoint(3 - y.i, y.k, pts[i].j),
                                  BasePoint(project(pts[i]))])
-        assert (orbit_dists(y, PseudoOrbit(pts, 4, start))
-                == brute_orbit_dists(y, pts, start))
+        _assert_sweeps(y, PseudoOrbit(pts, 4, start))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["0", "01", "0010", "1"]), st.integers(0, 10),
@@ -426,14 +445,20 @@ class TestOrbitDists:
         else:
             z = flip_symbol(y.seq, at)
         pts = [BasePoint(z.shift(start + t)) for t in range(length)]
-        dists = orbit_dists(y, PseudoOrbit(pts, 4, start))
-        assert dists == brute_orbit_dists(y, pts, start)
-        assert all(0 < d <= Fraction(1, 2) ** far for d in dists)
+        po = PseudoOrbit(pts, 4, start)
+        _assert_sweeps(y, po)
+        assert all(0 < d <= Fraction(1, 2) ** far
+                   for d in brute_orbit_dists(y, pts, start))
 
 
 # Bounds that are not powers of two, and sums of a tag 1/k and a dyadic.
 ODD_BOUNDS = (Fraction(1, 3), Fraction(3, 16), Fraction(2, 3), Fraction(5, 8),
               Fraction(19, 48), Fraction(5, 4))
+
+
+# Thresholds for the failure sweeps beyond _bounds_around: the diameter 3
+# and one far below every distance drawn here.
+SWEEP_BOUNDS = {Fraction(3), Fraction(1, 2 ** 40)}
 
 
 def _bounds_around(dists, points):
@@ -485,7 +510,8 @@ class TestOrbitWithin:
         po = _any_po(pts, back)
         ys = _riders(pts, po.start, picks) + [
             random_point(sys3, rng, 10),
-            BasePoint(base_shadow([project(p) for p in pts], delta_exp))]
+            BasePoint(base_shadow(point_runs([project(p) for p in pts]),
+                                  delta_exp))]
         for y in ys:
             self._agree(y, po)
 
