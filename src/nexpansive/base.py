@@ -283,36 +283,15 @@ def first_mismatch_bwd(x, y, start=-1):
 def mismatch_radius(x, y):
     """The least |i| with x[i] != y[i], or None when x == y.
 
-    One outward scan: each round compares x and y on [-r, r] and reads the
-    nearest mismatch off the XOR of the two words; r starts at _PROBE and
-    doubles. Past the probe the window is clipped at the Fine and Wilf
-    caps right_cap(x, y, 0) and left_cap(x, y, -1), as in
-    first_mismatch_fwd and _bwd. The nearest mismatch on each side lies
-    inside its cap, so a mismatch at distance at most r lies in the
-    clipped window, and the cost grows with the distance to the nearer
-    mismatch, not the farther one.
+    The nearest mismatch to index 0, read by nearest_mismatch's outward
+    scan (which returns None at once when x == y), so the cost grows with
+    the distance to the nearer mismatch, not the farther one. Pairs that
+    differ at index 0 return before the scan.
     """
-    if x == y:
-        return None
     if x[0] != y[0]:
         return 0
-    lo, hi, left = -_PROBE, _PROBE, None
-    while True:
-        xs, ys = x.window(lo, hi + 1), y.window(lo, hi + 1)
-        if xs != ys:
-            # bit i of the XOR stands for index hi - i; index 0 agrees
-            mask = _diff_bits(xs, ys)
-            ahead, behind = mask & ((1 << hi) - 1), mask >> hi
-            if not behind:
-                return hi + 1 - ahead.bit_length()
-            back = (behind & -behind).bit_length() - 1
-            return min(back, hi + 1 - ahead.bit_length()) if ahead else back
-        if left is None:  # the caps cost more than most probes
-            left = min(lo, left_cap(x, y, -1))
-            right = max(hi, right_cap(x, y, 0) - 1)
-        if lo == left and hi == right:
-            return None
-        lo, hi = max(2 * lo, left), min(2 * hi, right)
+    m = nearest_mismatch(x, y, 0, 0)
+    return m if m is None else abs(m)
 
 
 def nearest_mismatch(x, y, lo, hi):
@@ -321,12 +300,13 @@ def nearest_mismatch(x, y, lo, hi):
 
     A mismatch inside [lo, hi] is nearest, and the first one inside is
     returned; otherwise the nearer of the last one below lo and the first
-    one above hi, the one below on a tie. The scan of mismatch_radius,
-    around a stretch instead of index 0: each round compares x and y on
-    [lo - r, hi + r], r starting at _PROBE and doubling, each side clipped
-    at its Fine and Wilf cap, left_cap(x, y, lo - 1) and right_cap(x, y,
-    hi + 1). A found mismatch at distance d is nearest once both sides
-    reach d or their caps.
+    one above hi, the one below on a tie. One outward scan: each round
+    compares x and y on [lo - r, hi + r] and reads the mismatches off the
+    XOR of the two words, r starting at _PROBE and doubling, each side
+    clipped at its Fine and Wilf cap, left_cap(x, y, lo - 1) and
+    right_cap(x, y, hi + 1), as in first_mismatch_fwd and _bwd. The
+    nearest mismatch on each side lies inside its cap, so one at distance
+    at most r lies in the clipped window and is nearest.
     """
     if x == y:
         return None
@@ -335,17 +315,18 @@ def nearest_mismatch(x, y, lo, hi):
     while True:
         xs, ys = x.window(a, b + 1), y.window(a, b + 1)
         if xs != ys:
-            # bit i of the XOR stands for index b - i
-            mask = _diff_bits(xs, ys)
-            inside = (mask >> (b - hi)) & ((1 << (hi - lo + 1)) - 1)
-            if inside:
-                return hi + 1 - inside.bit_length()
-            behind, ahead = mask >> (b - lo + 1), mask & ((1 << (b - hi)) - 1)
-            below = lo - (behind & -behind).bit_length() if behind else None
-            above = b + 1 - ahead.bit_length() if ahead else None
-            if above is None or below is not None and lo - below <= above - hi:
-                return below
-            return above
+            # bit i of the XOR stands for index b - i, so the bits below
+            # split stand for [lo, b]; j is the first mismatch there, b + 1
+            # when there is none
+            mask, split = _diff_bits(xs, ys), b - lo + 1
+            j = b + 1 - (mask & ((1 << split) - 1)).bit_length()
+            if j <= hi:
+                return j
+            behind = mask >> split
+            if not behind:
+                return j
+            below = lo - (behind & -behind).bit_length()
+            return below if j > b or lo - below <= j - hi else j
         if left is None:  # the caps cost more than most probes
             left = min(a, left_cap(x, y, lo - 1))
             right = max(b, right_cap(x, y, hi + 1) - 1)

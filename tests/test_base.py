@@ -557,8 +557,6 @@ class TestMismatchRadius:
         bound = RADIUS_SCAN + abs(lo) + abs(hi)
         assert nearest_mismatch(x, y, lo, hi) == brute_nearest_mismatch(
             x, y, lo, hi, bound)
-        m = nearest_mismatch(x, y, 0, 0)
-        assert mismatch_radius(x, y) == (None if m is None else abs(m))
 
     def test_nearest_to_a_stretch_prefers_below_on_a_tie(self):
         x = BiSeq("0")
