@@ -38,14 +38,15 @@ TWO_SIDED_THRESHOLDS = tuple(dyadic(t) for t in range(1, 5))
 
 def limit_case(stages):
     lpo = switching_limit_orbit(stages=stages)
-    return (f"limit_shadow stages={stages}", len(lpo.points),
+    return (f"limit_shadow stages={stages}", lpo.end - lpo.start + 1,
             lambda: limit_shadow(SYSTEM, lpo, thresholds=LIMIT_THRESHOLDS),
             lambda r: [str(i) for _, i in r.decay])
 
 
 def two_sided_case(half):
     tslpo = drifting_two_sided_orbit(half=half)
-    return (f"two_sided_limit_shadow half={half}", len(tslpo.points),
+    return (f"two_sided_limit_shadow half={half}",
+            tslpo.end - tslpo.start + 1,
             lambda: two_sided_limit_shadow(SYSTEM, tslpo,
                                            thresholds=TWO_SIDED_THRESHOLDS),
             lambda r: [[str(i) for _, i in r.past_decay],

@@ -52,7 +52,7 @@ from nexpansive.codec import encode
 
 
 # Upper limits of the tracing sizes. At each limit, with the other flags at
-# their defaults, one run took 0.2-2.2 s and at most 67 MiB on a 2-vCPU
+# their defaults, one run took 0.2-2.2 s and at most 62 MiB on a 2-vCPU
 # Xeon, which stays under 10 s in that host's 1.6x slow spells.
 MAX_DELTA_EXP = 16
 MAX_LENGTH = 8000

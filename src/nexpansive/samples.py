@@ -224,8 +224,8 @@ def drifting_two_sided_orbit(past_word="001", future_word="0001", half=512,
             depth = abs(t) // 2 + 2
             point = flip_symbol(point, depth if t > 0 else -depth)
         pts.append(BasePoint(point))
-    schedule = []
-    k, bound = 0, Fraction(1, 2)
+    schedule = [(0, Fraction(1, 2))]
+    k, bound = 8, Fraction(1, 8)
     while bound > dyadic(half // 2 + 2) and k <= half - 2:
         schedule.append((k, bound))
         k += 8

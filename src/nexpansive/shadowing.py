@@ -1,22 +1,22 @@
 """Pseudo-orbit tracing: standard, limit and two-sided limit variants.
 
 Every engine here returns a point whose tracking quality has been verified
-index by index in exact arithmetic before it is handed back; the verifier
-is part of the postcondition, not an afterthought. A bound is checked on
-the window it fixes: a base distance is below 2**-e exactly when the two
-sequences agree on [-e, e], so jump, tracking and specification bounds
-compare windows and exact distances are computed only where they are
-reported (failed checks and verify_shadow). Finite prefixes stand in for
-infinite data throughout: a limit statement is always checked as a
-schedule of thresholds with recorded achievement indices, each read off
-one mismatch mask per run (space.failure_times), and schedules are caller
-data, never invented here.
+in exact arithmetic, one window per run, before it is handed back; the
+verifier is part of the postcondition, not an afterthought. A bound is
+checked on the window it fixes: a base distance is below 2**-e exactly
+when the two sequences agree on [-e, e], so jump, tracking and
+specification bounds compare windows and exact distances are computed only
+where they are reported (failed checks and verify_shadow). Finite prefixes
+stand in for infinite data throughout: a limit statement is always checked
+as a schedule of thresholds with recorded achievement indices, each read
+off one mismatch mask per run (space.failure_times), and schedules are
+caller data, never invented here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nexpansive.base import (HALF, agree_radius, base_shadow, dyadic,
@@ -27,7 +27,6 @@ from nexpansive.space import (
     ExtraPoint,
     aug_dist,
     aug_iterate,
-    aug_map,
     canonical_key,
     dist_below,
     failure_times,
@@ -111,9 +110,9 @@ def _normalize_schedule(schedule):
     return schedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PseudoOrbit:
-    """Points at the times start..end with a jump schedule, and their runs.
+    """Points at the times start..end with a jump schedule, kept as runs.
 
     The jump at time t is d(f(x_t), x_{t+1}). Each schedule entry
     (k, bound), indices strictly increasing and bounds strictly decreasing,
@@ -121,48 +120,50 @@ class PseudoOrbit:
     bound; a bare bound delta stands for ((0, delta),), one bound on every
     jump. The window must contain time zero.
 
-    Construction maps every point forward once. Where f(x_t) == x_{t+1}
-    the jump is zero and passes every bound; the maximal stretches of
-    times joined by zero jumps are recorded as runs, (first, last) pairs
-    in time order, each riding one true orbit. Every run break covered by
-    the schedule is checked against the tightest entry covering its time,
-    on the window that entry's bound fixes (space.dist_below); the exact
-    jump appears only in the error message. tail() is the one other way
-    to make a PseudoOrbit, and it checks its schedule against this one.
+    Only the runs are stored, the maximal stretches of times joined by zero
+    jumps (f(x_t) == x_{t+1}): (first, last, x) in time order, the point
+    at time t of the run being aug_iterate(x, t). Every run break the
+    schedule covers is checked against the tightest entry covering its
+    time, on the window that entry's bound fixes (space.dist_below); the
+    exact jump appears only in the error message. tail() is the one
+    unchecked derivation.
     """
 
-    points: tuple
     schedule: tuple
-    start: int = 0
-    runs: tuple = field(init=False, repr=False, compare=False)
+    runs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "schedule", _normalize_schedule(self.schedule))
-        if not self.points:
+    def __init__(self, points, schedule, start=0):
+        self._settle(schedule, ((t, t, aug_iterate(p, -t))
+                                for t, p in enumerate(points, start)))
+
+    def _settle(self, schedule, runs):
+        """Merge neighbours with equal x, then check and store the runs."""
+        schedule = _normalize_schedule(schedule)
+        merged = []
+        for first, last, x in runs:
+            if merged and merged[-1][2] == x:
+                merged[-1][1] = last
+            else:
+                merged.append([first, last, x])
+        if not merged:
             raise ValueError("pseudo-orbit must contain at least one point")
-        if not self.start <= 0 <= self.end:
+        if not merged[0][0] <= 0 <= merged[-1][1]:
             raise ValueError("window must contain time zero")
-        ks = [k for k, _ in self.schedule]
-        runs, first = [], self.start
-        for t in range(self.start, self.end):
-            image, nxt = aug_map(self.at(t)), self.at(t + 1)
-            if image == nxt:
-                continue
-            runs.append((first, t))
-            first = t + 1
+        ks = [k for k, _ in schedule]
+        for (_, t, x), (_, _, y) in zip(merged, merged[1:]):
             # the first entry covers the most: times before -k0 and from k0 on
             reach = t if t >= 0 else -t - 1
             if reach < ks[0]:
                 continue
-            k, bound = self.schedule[bisect_right(ks, reach) - 1]
-            if not dist_below(image, nxt, bound):
+            k, bound = schedule[bisect_right(ks, reach) - 1]
+            if not dist_below(x, y, bound, t + 1):
+                jump = aug_dist(aug_iterate(x, t + 1), aug_iterate(y, t + 1))
                 raise ValueError(
-                    f"jump {aug_dist(image, nxt)} at time {t} (index "
-                    f"{t - self.start}) violates bound {bound} from "
-                    f"|t| >= {k}")
-        runs.append((first, self.end))
-        object.__setattr__(self, "runs", tuple(runs))
+                    f"jump {jump} at time {t} (index {t - merged[0][0]}) "
+                    f"violates bound {bound} from |t| >= {k}")
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "runs", tuple(map(tuple, merged)))
+        return self
 
     def tail(self, k, schedule):
         """The points from time k on, moved to start at time 0, under a
@@ -172,7 +173,7 @@ class PseudoOrbit:
         k + t, so an entry (j, b) holds when this pseudo-orbit's bound at
         time k + j is at most b; the bounds decrease, so it covers every
         later time too. Raises when some entry is not implied that way;
-        otherwise the points and runs are sliced and no jump is rechecked.
+        otherwise the runs are sliced and no jump is rechecked.
         """
         if not self.start <= k <= self.end:
             raise ValueError(f"time {k} lies outside {self.start}..{self.end}")
@@ -185,11 +186,10 @@ class PseudoOrbit:
                     f"tail entry ({j}, {b}) from time {k} is not implied by "
                     "the parent schedule")
         tail = object.__new__(PseudoOrbit)
-        object.__setattr__(tail, "points", self.points[k - self.start:])
         object.__setattr__(tail, "schedule", schedule)
-        object.__setattr__(tail, "start", 0)
         object.__setattr__(tail, "runs", tuple(
-            (max(a, k) - k, b - k) for a, b in self.runs if b >= k))
+            (max(a, k) - k, b - k, aug_iterate(x, k))
+            for a, b, x in self.runs if b >= k))
         return tail
 
     @property
@@ -199,11 +199,24 @@ class PseudoOrbit:
         return bound if k == 0 else None
 
     @property
+    def start(self):
+        return self.runs[0][0]
+
+    @property
     def end(self):
-        return self.start + len(self.points) - 1
+        return self.runs[-1][1]
+
+    @property
+    def points(self):
+        """The points at the times start..end, built on each read."""
+        return tuple(aug_iterate(x, t) for first, last, x in self.runs
+                     for t in range(first, last + 1))
 
     def at(self, time):
-        return self.points[time - self.start]
+        if not self.start <= time <= self.end:
+            raise ValueError(f"time {time} lies outside {self.start}..{self.end}")
+        i = bisect_right(self.runs, time, key=lambda run: run[0]) - 1
+        return aug_iterate(self.runs[i][2], time)
 
 
 @dataclass(frozen=True)
@@ -240,9 +253,8 @@ def shadow_pseudo_orbit(po, eps):
     pseudo-orbit sits at level m or deeper; projecting to the base costs
     at most 1/m per point, the projected runs are traced by a base point
     within eps/2 (base_shadow, one slice per run), and the combined error
-    stays below eps. The result is verified at every index before being
-    returned, on one window per run (space.orbit_within); verify_shadow
-    gives the exact worst distance.
+    stays below eps. Before it is returned the result is verified at
+    every time, one window per run (space.orbit_within).
     """
     mod = shadow_modulus(eps)
     if po.delta is None:
@@ -252,13 +264,11 @@ def shadow_pseudo_orbit(po, eps):
         raise ValueError(
             f"pseudo-orbit delta {po.delta} is too coarse; tracing at eps={eps} "
             f"needs delta <= {mod.delta}")
-    # a run rides one orbit, so its first point tells its kind and level
-    heads = [(first, last, po.at(first)) for first, last in po.runs]
-    if any(isinstance(x, ExtraPoint) and x.k < mod.m for _, _, x in heads):
+    if any(isinstance(x, ExtraPoint) and x.k < mod.m for _, _, x in po.runs):
         result = po.at(0)
     else:
         result = BasePoint(base_shadow(
-            [(a, b, project(x).shift(-a)) for a, b, x in heads], mod.base_exp))
+            [(a, b, project(x)) for a, b, x in po.runs], mod.base_exp))
     # the modulus arithmetic forbids a failure here
     if not orbit_within(result, po, eps):  # pragma: no cover
         raise RuntimeError("traced point failed its own verification: "
@@ -368,13 +378,12 @@ def limit_shadow(sys, lpo, thresholds=None):
         _check_thresholds(thresholds)
     if lpo.start != 0:
         raise ScheduleError("limit tracing needs a prefix starting at time 0")
-    horizon = len(lpo.points)
     stages = []
     for j in range(1, 9):
         res = AMBIENT / (j + 1)
         mod = shadow_modulus(res)
         entry = next(((k, b) for k, b in lpo.schedule if b <= mod.delta), None)
-        if entry is None or entry[0] > horizon - 2:
+        if entry is None or entry[0] >= lpo.end:
             break
         stages.append((res, (entry[0], mod.m, mod.base_exp)))
     if len(stages) < 3:
@@ -406,7 +415,7 @@ def limit_shadow(sys, lpo, thresholds=None):
     reps = stable_class_count(sys, anchor, AMBIENT).representatives
     candidates = [aug_iterate(r, -stab) for r in reps]
     if thresholds is None:
-        thresholds = tuple(b for k, b in lpo.schedule if k < horizon)
+        thresholds = tuple(b for k, b in lpo.schedule if k <= lpo.end)
     missed = set(thresholds)
     for cand in candidates:
         decay = _decays(cand, lpo, thresholds)
@@ -441,28 +450,29 @@ def _mirror_limit_orbit(tslpo):
     """The past half of a two-sided pseudo-orbit, conjugated to run forward.
 
     Sequence reversal is an isometric conjugacy between the map and its
-    inverse; one application of the inverse map stretches distances by at
-    most the factor two of the base shift, so the mirrored half validates
-    against the original schedule with doubled bounds.
+    inverse, so a run (a, b, x) with a <= 0 mirrors to (-min(b, 0), -a,
+    mirror_point(x)); one application of the inverse map stretches
+    distances by at most the factor two of the base shift, so the mirrored
+    half validates against the original schedule with doubled bounds.
     """
-    pts = [mirror_point(tslpo.at(-t)) for t in range(-tslpo.start + 1)]
-    schedule = [(k, 2 * b) for k, b in tslpo.schedule]
-    return PseudoOrbit(pts, schedule)
+    return object.__new__(PseudoOrbit)._settle(
+        [(k, 2 * b) for k, b in tslpo.schedule],
+        [(-min(b, 0), -a, mirror_point(x))
+         for a, b, x in reversed(tslpo.runs) if a <= 0])
 
 
 def _trace_half(sys, lpo, thresholds, side):
     """limit_shadow of one half, naming the half when it is too short to
     trace or misses a threshold."""
-    steps = len(lpo.points) - 1
     try:
         return limit_shadow(sys, lpo, thresholds=thresholds)
     except DecayThresholdError as exc:
         raise DecayThresholdError(
             f"{side} tail does not reach every threshold within its "
-            f"{steps} steps: {exc}") from None
+            f"{lpo.end} steps: {exc}") from None
     except ScheduleError as exc:
         raise ScheduleError(
-            f"{side} tail of {steps} steps is too short to limit-trace: "
+            f"{side} tail of {lpo.end} steps is too short to limit-trace: "
             f"{exc}") from None
 
 
@@ -525,16 +535,10 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
         z = shadow_specification(
             [((-junction, -junction), aug_iterate(p1, -junction)),
              ((junction, junction), aug_iterate(p2, junction))], glue_eps)
-        glued = []
-        for t in range(tslpo.start, tslpo.end + 1):
-            if t < -junction:
-                glued.append(aug_iterate(p1, t))
-            elif t <= junction:
-                glued.append(aug_iterate(z, t))
-            else:
-                glued.append(aug_iterate(p2, t))
-        final = shadow_pseudo_orbit(
-            PseudoOrbit(glued, delta, tslpo.start), eps)
+        glued = object.__new__(PseudoOrbit)._settle(delta, [
+            (tslpo.start, -junction - 1, p1), (-junction, junction, z),
+            (junction + 1, tslpo.end, p2)])
+        final = shadow_pseudo_orbit(glued, eps)
     if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")

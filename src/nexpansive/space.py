@@ -205,16 +205,16 @@ def residual_radius(bound, k, l, strict):
     return _residual(bound.numerator, bound.denominator, k, l, strict)
 
 
-def dist_below(x, y, bound):
-    """aug_dist(x, y) < bound, checked on the window the bound fixes:
-    the projections must agree on |j| < m for m = residual_radius(...);
-    no distance is computed.
+def dist_below(x, y, bound, t=0):
+    """aug_dist(f^t x, f^t y) < bound, checked on the window the bound
+    fixes: the projections must agree on |j - t| < m for m =
+    residual_radius(...); no distance is computed and no image is built.
     """
     m = residual_radius(bound, *tag_levels(x, y), True)
     if m is None:
         return False
     px, py = project(x), project(y)
-    return px == py or px.window(1 - m, m) == py.window(1 - m, m)
+    return px == py or px.window(t + 1 - m, t + m) == py.window(t + 1 - m, t + m)
 
 
 def aug_map(x):
@@ -231,21 +231,17 @@ def aug_iterate(x, t):
 
 
 def _carriers(y, po, lo, hi):
-    """(first, last, z, levels) for each run of po, clipped to [lo, hi].
-
-    Along a run the points ride one true orbit, so every time t of it has
-    the same z = project(po.at(t)).shift(-t) and the same tag levels of
-    (aug_iterate(y, t), po.at(t)); both are read at the run's first time.
-    At t the distance is then level_gap(*levels) + 2**-r, r the least
-    |j - t| over the mismatches j of project(y) against z (no base part
-    when there are none).
+    """(first, last, z, levels) for each run (first, last, x) of po,
+    clipped to [lo, hi]: z = project(x), whose shift by t is the run's
+    projection at time t, and the tag levels of (y, x), which are those of
+    (aug_iterate(y, t), po.at(t)) at every t. At t the distance is then
+    level_gap(*levels) + 2**-r, r the least |j - t| over the mismatches j
+    of project(y) against z (no base part when there are none).
     """
-    for first, last in po.runs:
+    for first, last, x in po.runs:
         first, last = max(first, lo), min(last, hi)
         if first <= last:
-            x = po.at(first)
-            yield (first, last, project(x).shift(-first),
-                   tag_levels(aug_iterate(y, first), x))
+            yield first, last, project(x), tag_levels(y, x)
 
 
 def orbit_within(y, po, eps):

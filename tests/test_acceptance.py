@@ -218,14 +218,14 @@ def test_criterion_07_limit_shadowing():
     start = time.perf_counter()
     system = AugSystem(3, "standard", 50)
     lpo = switching_limit_orbit(stages=10)
-    assert len(lpo.points) >= 2 ** 10
+    pts = lpo.points
+    assert len(pts) >= 2 ** 10
     thresholds = tuple(dyadic(t) for t in range(1, 6))
     rep = limit_shadow(system, lpo, thresholds=thresholds)
     ok = all(idx is not None for _, idx in rep.decay)
     ok = ok and [th for th, _ in rep.decay] == list(thresholds)
     # replay the decay report exactly
-    dists = [aug_dist(aug_iterate(rep.point, t), lpo.points[t])
-             for t in range(len(lpo.points))]
+    dists = [aug_dist(aug_iterate(rep.point, t), p) for t, p in enumerate(pts)]
     for th, idx in rep.decay:
         ok = ok and all(d < th for d in dists[idx:])
     elapsed = time.perf_counter() - start

@@ -205,6 +205,7 @@ def test_config_overrides_flags(runner, tmp_path):
     ["two-sided", "--half", "8"],
     ["two-sided", "--past-word", "01", "--future-word", "01", "--half", "8"],
     ["metric-axioms", "--k-hi", "100"],
+    ["two-sided", "--half", "1"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -218,10 +219,11 @@ def test_library_value_errors_exit_two(runner, tmp_path, args):
         assert "'1/2'" not in result.output
     if args[0] == "metric-axioms":
         assert "k_hi=100 exceeds enumeration bound 50" in result.output
-    if args[-2:] == ["--half", "8"]:
-        assert ("past tail of 8 steps is too short to limit-trace" in
+    if args[-2] == "--half":
+        half = args[-1]
+        assert (f"past tail of {half} steps is too short to limit-trace" in
                 result.output)
-        assert "--half above 8" in result.output
+        assert f"--half above {half}" in result.output
 
 
 @pytest.mark.parametrize("command", ["classes", "construct"])

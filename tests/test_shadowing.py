@@ -1,12 +1,13 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexpansive import shadowing
+from nexpansive import samples, shadowing
 from nexpansive.base import (BiSeq, base_shadow, dyadic, flip_symbol,
                              periodic_point)
 from nexpansive.space import (
@@ -198,27 +199,127 @@ class TestPseudoOrbitTypes:
                 shadow_specification(segments, Fraction(2))
 
 
-def _sample_orbits(data):
-    """A hop, switching, drifting or mirrored drifting pseudo-orbit of
-    small size; a hop orbit may be moved to start below zero."""
+def _generator_input(build, *args, **kwargs):
+    """(points, schedule, start) as a samples generator hands them to
+    PseudoOrbit: the per-point form, before any run is formed."""
+    with mock.patch.object(samples, "PseudoOrbit",
+                           lambda pts, schedule, start=0:
+                           (list(pts), schedule, start)):
+        return build(*args, **kwargs)
+
+
+def _sample_points(data):
+    """(kind, points, schedule, start) for a hop, switching, drifting or
+    mirrored drifting pseudo-orbit of small size, the points of a mirrored
+    one being the drifting orbit's; a hop orbit may be moved to start
+    below zero."""
     kind = data.draw(st.sampled_from(["hop", "switching", "drifting",
                                       "mirrored"]))
     if kind == "hop":
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         sys3 = AugSystem(3, "standard", 64)
-        po = hop_pseudo_orbit(sys3, rng, length=data.draw(st.integers(1, 40)),
-                              delta_exp=data.draw(st.integers(2, 8)))
-        back = data.draw(st.integers(0, len(po.points) - 1))
-        return PseudoOrbit(po.points, po.delta, -back)
+        pts, bound, _ = _generator_input(
+            hop_pseudo_orbit, sys3, rng, length=data.draw(st.integers(1, 40)),
+            delta_exp=data.draw(st.integers(2, 8)))
+        return kind, pts, bound, -data.draw(st.integers(0, len(pts) - 1))
     if kind == "switching":
         words = data.draw(st.sampled_from([("001", "01"), ("0", "1")]))
-        return switching_limit_orbit(*words, stages=data.draw(
-            st.integers(3, 7)))
-    po = drifting_two_sided_orbit(
+        return (kind, *_generator_input(switching_limit_orbit, *words,
+                                      stages=data.draw(st.integers(3, 7))))
+    return (kind, *_generator_input(
+        drifting_two_sided_orbit,
         *data.draw(st.sampled_from([("001", "0001"), ("01", "1")])),
         half=data.draw(st.integers(8, 40)),
-        defect_step=data.draw(st.integers(1, 5)))
+        defect_step=data.draw(st.integers(1, 5))))
+
+
+def _sample_orbits(data):
+    """A _sample_points case as a PseudoOrbit, mirrored by
+    _mirror_limit_orbit."""
+    kind, pts, schedule, start = _sample_points(data)
+    po = PseudoOrbit(pts, schedule, start)
     return _mirror_limit_orbit(po) if kind == "mirrored" else po
+
+
+def _mirror_per_point(ts):
+    """The mirrored past half built point by point: every past point
+    mirrored and the copy validated as a new pseudo-orbit under doubled
+    bounds."""
+    pts = [mirror_point(ts.at(-t)) for t in range(-ts.start + 1)]
+    return PseudoOrbit(pts, [(k, 2 * b) for k, b in ts.schedule])
+
+
+def _glue_per_index(ts, junction, p1, z, p2, delta):
+    """The glued pseudo-orbit of two_sided_limit_shadow built index by
+    index: one point per time of ts, on p1's orbit before -junction, on
+    z's up to junction and on p2's after it."""
+    glued = []
+    for t in range(ts.start, ts.end + 1):
+        if t < -junction:
+            glued.append(aug_iterate(p1, t))
+        elif t <= junction:
+            glued.append(aug_iterate(z, t))
+        else:
+            glued.append(aug_iterate(p2, t))
+    return PseudoOrbit(glued, delta, ts.start)
+
+
+class TestRunTable:
+    """The run table against the per-point forms it replaced: the input
+    points, the point-by-point mirror and the per-index glue."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_points_and_at_give_back_the_input(self, data):
+        _, pts, schedule, start = _sample_points(data)
+        po = PseudoOrbit(pts, schedule, start)
+        assert po.points == tuple(pts)
+        assert [po.at(t) for t in range(start, start + len(pts))] == pts
+        for t in (start - 1, po.end + 1):
+            with pytest.raises(ValueError,
+                               match=f"^time {t} lies outside {start}.."):
+                po.at(t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mirror_matches_the_per_point_mirror(self, data):
+        ts = _sample_orbits(data)
+        try:
+            want = _mirror_per_point(ts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _mirror_limit_orbit(ts)
+            return
+        got = _mirror_limit_orbit(ts)
+        assert got == want
+        assert got.points == want.points
+
+    @pytest.mark.parametrize("words, half, step", [
+        (("001", "0001"), 64, 4), (("001", "0001"), 128, 4),
+        (("001", "0001"), 100, 3), (("001", "001"), 64, 8)])
+    def test_glue_matches_the_per_index_glue(self, sys3, monkeypatch, words,
+                                             half, step):
+        ts = drifting_two_sided_orbit(*words, half=half, defect_step=step)
+        traced = []
+        trace = shadowing.shadow_pseudo_orbit
+
+        def spy(po, eps):
+            traced.append((po, eps))
+            return trace(po, eps)
+
+        monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", spy)
+        report = two_sided_limit_shadow(sys3, ts)
+        # the glued pseudo-orbit is the last one traced
+        glued, eps = traced[-1]
+        j, p1, p2 = report.junction, report.past_point, report.future_point
+        z = shadow_specification(
+            [((-j, -j), aug_iterate(p1, -j)), ((j, j), aug_iterate(p2, j))],
+            report.glue_eps)
+        want = _glue_per_index(ts, j, p1, z, p2, report.delta)
+        assert glued == want
+        assert glued.points == want.points
+        assert len(glued.runs) <= 3
+        assert trace(want, eps) == report.point
 
 
 class TestRuns:
@@ -226,13 +327,14 @@ class TestRuns:
     @given(st.data())
     def test_runs_match_brute_split(self, data):
         po = _sample_orbits(data)
-        assert list(po.runs) == brute_runs(po.points, po.start)
+        assert [(a, b) for a, b, _ in po.runs] == brute_runs(po.points,
+                                                            po.start)
 
     def test_one_run_per_true_orbit(self):
         q = ExtraPoint(2, 4, 3)
         po = PseudoOrbit([aug_iterate(q, t) for t in range(-5, 9)],
                          Fraction(1, 64), -5)
-        assert po.runs == ((-5, 8),)
+        assert po.runs == ((-5, 8, q),)
 
 
 def _bound_at(schedule, time):
@@ -428,8 +530,9 @@ DECAY_THRESHOLDS = (*(dyadic(e) for e in range(7)), Fraction(1, 3),
 
 def _riders(po, picks):
     """The points whose orbits ride po at the picked indices."""
-    return [aug_iterate(po.points[i % len(po.points)],
-                        -(po.start + i % len(po.points))) for i in picks]
+    pts = po.points
+    return [aug_iterate(pts[i % len(pts)], -(po.start + i % len(pts)))
+            for i in picks]
 
 
 @st.composite
@@ -593,8 +696,7 @@ class TestStageSharing:
         trace = shadowing.shadow_pseudo_orbit
 
         def spy(tail, eps):
-            calls.append((len(lpo.points) - len(tail.points), tail.delta,
-                          eps))
+            calls.append((lpo.end - tail.end, tail.delta, eps))
             return trace(tail, eps)
 
         monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", spy)
@@ -629,10 +731,10 @@ class TestLimitShadowing:
         assert all(stage.consistent for stage in report.stages)
         assert len(report.stages) >= 3
         # recompute the decay claim independently
+        pts = lpo.points
         for th, idx in report.decay:
-            for t in range(idx, len(lpo.points)):
-                assert aug_dist(aug_iterate(report.point, t),
-                                lpo.points[t]) < th
+            for t in range(idx, len(pts)):
+                assert aug_dist(aug_iterate(report.point, t), pts[t]) < th
 
     def test_convergence_into_satellite_orbit(self, sys3):
         q = ExtraPoint(1, 4, 0)

@@ -342,10 +342,11 @@ def _assert_sweeps(y, po):
     """orbit_worst, and failure_times on both sides, against the per-index
     oracle brute_orbit_dists: the first time of the largest distance, and
     for each threshold the failing time farthest from 0 on each side."""
-    dists = brute_orbit_dists(y, po.points, po.start)
+    pts = po.points
+    dists = brute_orbit_dists(y, pts, po.start)
     worst = max(dists)
     assert orbit_worst(y, po) == (po.start + dists.index(worst), worst)
-    ths = sorted(th for th in _bounds_around(dists, po.points) | SWEEP_BOUNDS
+    ths = sorted(th for th in _bounds_around(dists, pts) | SWEEP_BOUNDS
                  if th > 0)
     for past, side in ((False, range(0, po.end + 1)),
                        (True, range(po.start, 1))):
@@ -470,11 +471,12 @@ def _bounds_around(dists, points):
 
 
 class TestDistBelow:
-    """dist_below(x, y, bound) against aug_dist(x, y) < bound."""
+    """dist_below(x, y, bound, t) against aug_dist of the t-th images
+    below bound."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    def test_random_pairs(self, seed, k_hi):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-12, 12))
+    def test_random_pairs(self, seed, k_hi, t):
         rng = random.Random(seed)
         sys3 = AugSystem(3, "standard", 64)
         a, b, c = random_triple(sys3, rng, k_hi)
@@ -487,6 +489,10 @@ class TestDistBelow:
             d = aug_dist(x, y)
             for bound in _bounds_around([d, d / 2, 2 * d], [x, y]):
                 assert dist_below(x, y, bound) == (d < bound), (x, y, bound)
+            xt, yt = aug_iterate(x, t), aug_iterate(y, t)
+            d = aug_dist(xt, yt)
+            for bound in _bounds_around([d, d / 2, 2 * d], [xt, yt]):
+                assert dist_below(x, y, bound, t) == (d < bound), (x, y, t)
 
 
 class TestOrbitWithin:
@@ -494,8 +500,9 @@ class TestOrbitWithin:
 
     @staticmethod
     def _agree(y, po):
-        dists = brute_orbit_dists(y, po.points, po.start)
-        for eps in _bounds_around(dists, po.points):
+        pts = po.points
+        dists = brute_orbit_dists(y, pts, po.start)
+        for eps in _bounds_around(dists, pts):
             want = all(d <= eps for d in dists)
             assert orbit_within(y, po, eps) == want, (y, po.start, eps)
 
