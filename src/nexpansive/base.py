@@ -196,8 +196,9 @@ class BiSeq:
 
     def reverse(self):
         """The sequence y with y[i] == self[-i]."""
-        return BiSeq(self.right[::-1], self.core[::-1], self.left[::-1],
-                     1 - self.core_end)
+        # reversed primitive words are primitive; _settle re-canonicalizes
+        return BiSeq._trusted(self.right[::-1], self.core[::-1],
+                              self.left[::-1], 1 - self.core_end)
 
     @property
     def is_periodic(self):

@@ -42,7 +42,8 @@ def _encode_dict(value):
     return {str(k): encode(v) for k, v in value.items()}
 
 
-# Keyed by exact type; encode falls back to dataclass fields.
+# Keyed by exact type; encode adds a field encoder for each dataclass type
+# on first sight.
 _ENCODERS = {Fraction: format_fraction, BiSeq: biseq_to_json,
              BasePoint: point_to_json, ExtraPoint: point_to_json,
              AugSystem: system_to_json, list: _encode_list,
@@ -50,12 +51,17 @@ _ENCODERS = {Fraction: format_fraction, BiSeq: biseq_to_json,
 _ENCODERS.update(dict.fromkeys((str, int, bool, type(None)), lambda v: v))
 
 
+def _field_encoder(cls):
+    """The encoder of a dataclass type: its fields, in order, by name."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"cannot encode {cls.__name__}")
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return lambda value: {name: encode(getattr(value, name)) for name in names}
+
+
 def encode(value):
     """Recursively convert a value into JSON-serializable data."""
     encoder = _ENCODERS.get(type(value))
-    if encoder is not None:
-        return encoder(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: encode(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    raise TypeError(f"cannot encode {type(value).__name__}")
+    if encoder is None:
+        encoder = _ENCODERS[type(value)] = _field_encoder(type(value))
+    return encoder(value)

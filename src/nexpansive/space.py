@@ -244,19 +244,45 @@ def _carriers(y, po, lo, hi):
             yield first, last, project(x), tag_levels(y, x)
 
 
+def _sweep(y, po, lo, hi, bounds, strict):
+    """(runs, table, read) for a sweep of y along po over [lo, hi]: the
+    runs clipped to it (_carriers); a table {levels: (radii, reach)}
+    filled once per tag-level pair, radii[i] = residual_radius(bounds[i],
+    *levels, strict) and reach the largest radius above 0 (0 for none);
+    and read(a, b), which slices the symbols on [a, b) of project(y) out
+    of one window over [lo, hi] widened by the largest reach.
+    """
+    runs = list(_carriers(y, po, lo, hi))
+    table = {}
+    for *_, levels in runs:
+        if levels not in table:
+            radii = [residual_radius(b, *levels, strict) for b in bounds]
+            table[levels] = radii, max([0, *filter(None, radii)])
+    widest = max(reach for _, reach in table.values())
+    base = lo - widest + 1
+    word = project(y).window(base, hi + widest)
+    return runs, table, lambda a, b: word[a - base:b - base]
+
+
 def orbit_within(y, po, eps):
     """True when aug_dist(aug_iterate(y, t), po.at(t)) <= eps at every
     time t of the pseudo-orbit po.
 
     Along a run (_carriers) an entry is at most eps exactly when
     project(y) and z agree on |j - t| < m, m = residual_radius(eps, k, l,
-    False); None fails at once. So each run is checked on one window, its
-    times widened by m - 1 on each side.
+    False), read from the table of _sweep: None fails, 0 passes, -1 asks
+    for z == project(y). Otherwise the run's times widened by m - 1 on
+    each side are read once from project(y) (_sweep) and once from z.
     """
     seq = project(y)
-    for first, last, z, levels in _carriers(y, po, po.start, po.end):
-        m = residual_radius(eps, *levels, False)
-        if m is None or not _run_agrees(seq, z, m, first, last):
+    runs, table, read = _sweep(y, po, po.start, po.end, (eps,), False)
+    if any(radii[0] is None for radii, _ in table.values()):
+        return False
+    for first, last, z, levels in runs:
+        [m], _ = table[levels]
+        lo_w, hi_w = first - m + 1, last + m
+        if (m < 0 and seq != z
+                or m > 0 and read(lo_w, hi_w) != z.window(lo_w, hi_w)):
             return False
     return True
 
@@ -267,13 +293,14 @@ def orbit_worst(y, po):
 
     Along a run (_carriers) the base part is largest where a mismatch of
     project(y) against z is nearest: at the first mismatch inside the run
-    (base part 1), or else at the end nearer to the nearest mismatch
-    beyond it, the first time on a tie. base.nearest_mismatch finds that
-    mismatch in one outward scan, so each run costs one scan and one
-    exact distance, whatever its length.
+    (r = 0), or else at the end nearer to the nearest mismatch beyond it,
+    r away, the first time on a tie. base.nearest_mismatch finds that
+    mismatch in one outward scan per run. Each tag-level pair keeps its
+    least r as an int, at its first time, and one exact distance per pair
+    picks the worst.
     """
     seq = project(y)
-    worst = None
+    best = {}  # levels -> (r, t), r None for no mismatch
     for first, last, z, levels in _carriers(y, po, po.start, po.end):
         j = nearest_mismatch(seq, z, first, last)
         if j is None:
@@ -284,10 +311,11 @@ def orbit_worst(y, po):
             t, r = last, j - last
         else:
             t, r = j, 0
-        d = _dist(r, *levels)
-        if worst is None or d > worst[1]:
-            worst = t, d
-    return worst
+        old = best.get(levels)
+        if old is None or r is not None and (old[0] is None or r < old[0]):
+            best[levels] = r, t
+    return max(((t, _dist(r, *levels)) for levels, (r, t) in best.items()),
+               key=lambda worst: (worst[1], -worst[0]))
 
 
 def failure_times(y, po, thresholds, past=False):
@@ -298,58 +326,47 @@ def failure_times(y, po, thresholds, past=False):
 
     Along a run (_carriers) a time t fails exactly when some mismatch j
     of project(y) against z has |j - t| < m, m = residual_radius(th, k,
-    l, True) (always for None, never for 0). The runs are read from the
-    far end toward time 0, and a threshold is settled by the first run in
-    which it fails. Each run makes one XOR mask over its times widened by
-    the largest m still needed; from it the last failing time is
-    min(last, j + m - 1) for the largest mismatch j below last + m (with
-    past, the first is max(first, j - m + 1) for the smallest j above
-    first - m), provided that j lies within m of the run.
+    l, True) (always for None, never for 0), read from the table of _sweep
+    by threshold position. The runs are read from the far end toward time
+    0, and a threshold is settled by the first run in which it fails.
+    Each run XORs its times widened by its pair's largest m (the reach),
+    read once from project(y) (_sweep) and once from z; the last failing
+    time is min(last, j + m - 1) for the largest mismatch j below last +
+    m (with past, the first is max(first, j - m + 1) for the smallest j
+    above first - m), if that j lies within m of the run.
     """
     seq = project(y)
     lo, hi = (po.start, 0) if past else (0, po.end)
-    runs = list(_carriers(y, po, lo, hi))
+    runs, table, read = _sweep(y, po, lo, hi, thresholds, True)
     if not past:
         runs.reverse()
-    found, pending = {}, set(thresholds)
+    found = [None] * len(thresholds)
+    pending = range(len(thresholds))
     for first, last, z, levels in runs:
-        if not pending:
-            break
-        radii = {th: residual_radius(th, *levels, True) for th in pending}
-        reach = max((m for m in radii.values() if m), default=0)
+        radii, reach = table[levels]
         mask = 0
         if reach and seq != z:
             # bit b of the mask stands for index hi_w - 1 - b
             lo_w, hi_w = first - reach + 1, last + reach
-            mask = _diff_bits(seq.window(lo_w, hi_w), z.window(lo_w, hi_w))
-        for th, m in radii.items():
+            mask = _diff_bits(read(lo_w, hi_w), z.window(lo_w, hi_w))
+        for i in pending:
+            m = radii[i]
             if m is None:
-                found[th] = first if past else last
+                found[i] = first if past else last
             elif m and mask and past:
                 near = mask & ((1 << (hi_w - first + m - 1)) - 1)
                 j = hi_w - near.bit_length()
                 if near and j < last + m:
-                    found[th] = max(first, j - m + 1)
+                    found[i] = max(first, j - m + 1)
             elif m and mask:
                 near = mask >> (reach - m)
                 j = last + m - (near & -near).bit_length()
                 if near and j > first - m:
-                    found[th] = min(last, j + m - 1)
-        pending -= found.keys()
-    return tuple(found.get(th) for th in thresholds)
-
-
-def _run_agrees(seq, z, m, lo, hi):
-    """Do seq and z agree on |j - t| < m for every t in [lo, hi]?
-
-    m is read as residual_radius returns it: -1 stands for agreement
-    everywhere and 0 holds for every pair.
-    """
-    if seq == z or m == 0:
-        return True
-    if m < 0:
-        return False
-    return seq.window(lo - m + 1, hi + m) == z.window(lo - m + 1, hi + m)
+                    found[i] = min(last, j + m - 1)
+        pending = [i for i in pending if found[i] is None]
+        if not pending:
+            break
+    return tuple(found)
 
 
 def tail_label(seq):

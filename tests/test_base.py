@@ -622,6 +622,42 @@ class TestShiftIsCanonical:
             (ref.left, ref.core, ref.right, ref.offset)
 
 
+class TestReverseIsCanonical:
+    """reverse() skips the checked constructor: its fields must be those
+    of the checked BiSeq(...) of the same reversed words, and reversing
+    twice must give the sequence back."""
+
+    @staticmethod
+    def _check(x):
+        y = x.reverse()
+        ref = BiSeq(x.right[::-1], x.core[::-1], x.left[::-1],
+                    1 - x.core_end)
+        assert fields(y) == fields(ref)
+        assert y.reverse() == x
+        assert all(y[i] == x[-i] for i in range(-12, 13))
+
+    @settings(max_examples=200, deadline=None)
+    @given(words, cores, words, offsets)
+    def test_matches_checked_construction(self, left, core, right, offset):
+        self._check(BiSeq(left, core, right, offset))
+
+    @settings(max_examples=100, deadline=None)
+    @given(periods, st.integers(-40, 40))
+    def test_globally_periodic(self, word, t):
+        x = BiSeq(word).shift(t)
+        assert x.reverse().is_periodic
+        self._check(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(periods, periods, offsets)
+    def test_empty_core_seams(self, left, right, offset):
+        # the seam slides when the tails agree at it; with equal tails the
+        # sequence is globally periodic
+        x = BiSeq(left, "", right, offset)
+        assert not x.core
+        self._check(x)
+
+
 def assembly_by_loop(left_src, lo, word, hi, right_src, right_anchor):
     """assemble's raw (left, core, right, offset), symbol by symbol."""
     start = min(lo, left_src.offset)

@@ -341,10 +341,9 @@ def test_limit_shadow_stages_start_at_eight(runner, tmp_path, via):
     assert load(tmp_path, "limit-shadow")["config"]["stages"] == 8
 
 
-def test_limit_shadow_at_its_stage_limit_stays_small(tmp_path):
-    # the decay reads one mismatch mask per run and builds no per-index
-    # distance; a list of them (each up to 2**-32768 at this size) would
-    # hold about 100 MiB
+def _child_peak_kib(tmp_path, args):
+    """Run the CLI with args in one child under a 120 s CPU limit, assert
+    exit 0, and return the child's peak resident size in KiB."""
     def limit_cpu():
         resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
 
@@ -352,7 +351,7 @@ def test_limit_shadow_at_its_stage_limit_stays_small(tmp_path):
     with open(tmp_path / "stderr.txt", "w+") as err:
         proc = subprocess.Popen(
             [sys.executable, "-c", "from nexpansive.cli import main; main()",
-             "limit-shadow", "--stages", "15", "--out", str(tmp_path)],
+             *args, "--out", str(tmp_path)],
             env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
             stderr=err, preexec_fn=limit_cpu)
         # wait4 reaps the child itself and returns its resource usage
@@ -360,5 +359,21 @@ def test_limit_shadow_at_its_stage_limit_stays_small(tmp_path):
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         assert proc.returncode == 0, err.read()
+    return usage.ru_maxrss  # KiB on Linux
+
+
+def test_limit_shadow_at_its_stage_limit_stays_small(tmp_path):
+    # the decay reads one mismatch mask per run and builds no per-index
+    # distance; a list of them (each up to 2**-32768 at this size) would
+    # hold about 100 MiB
+    peak = _child_peak_kib(tmp_path, ["limit-shadow", "--stages", "15"])
     assert load(tmp_path, "limit-shadow")["ok"]
-    assert usage.ru_maxrss < 60 * 1024  # KiB on Linux
+    assert peak < 60 * 1024
+
+
+def test_two_sided_at_its_half_limit_stays_small(tmp_path):
+    # the pseudo-orbit keeps runs, the past half is mirrored run by run,
+    # and the sweeps read the traced point once per call: about 62 MiB
+    peak = _child_peak_kib(tmp_path, ["two-sided", "--half", "8192"])
+    assert load(tmp_path, "two-sided")["ok"]
+    assert peak < 96 * 1024

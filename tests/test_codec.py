@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from nexpansive.base import BiSeq, periodic_point
 from nexpansive.space import AugSystem, BasePoint, ExtraPoint
 from nexpansive.expansivity import dynamic_ball, stable_class_count
 from nexpansive.codec import encode, format_fraction
+from nexpansive.shadowing import ShadowCheck
 
 
 def test_fraction_strings():
@@ -42,5 +44,25 @@ def test_encode_reports_deterministically(sys3):
 
 
 def test_encode_rejects_unknown_types():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^cannot encode object$"):
         encode(object())
+    # a dataclass type is not a report value
+    with pytest.raises(TypeError, match="^cannot encode type$"):
+        encode(ShadowCheck)
+    with pytest.raises(TypeError, match="^cannot encode object$"):
+        encode([1, object()])
+
+
+def test_encode_reads_dataclass_fields_once(monkeypatch):
+    check = ShadowCheck(ok=True, eps=Fraction(1, 4), worst_index=3,
+                        worst_dist=Fraction(1, 8))
+    want = {"ok": True, "eps": "1/4", "worst_index": 3, "worst_dist": "1/8"}
+    assert encode(check) == want
+    assert list(encode(check)) == [f.name for f in dataclasses.fields(check)]
+
+    def no_fields(_):
+        raise AssertionError("dataclass fields read again")
+
+    monkeypatch.setattr(dataclasses, "fields", no_fields)
+    monkeypatch.setattr(dataclasses, "is_dataclass", no_fields)
+    assert encode([check, check]) == [want, want]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nexpansive.space as space
 from nexpansive.base import (
     BiSeq,
     assemble,
@@ -582,3 +583,44 @@ class TestOrbitWithin:
                                 Fraction(1, 4))
         assert orbit_within(y, run, Fraction(0))
         assert not orbit_within(y, off, Fraction(0))
+
+
+def test_worst_ties_across_tag_levels_go_to_the_first_time():
+    # orbit_worst keeps one least mismatch distance per tag-level pair: a
+    # flipped base point and a level-4 satellite both lie 1/2 away, and
+    # the first time wins whichever pair it belongs to
+    y = BasePoint(periodic_point(4))
+    sat = ExtraPoint(1, 4, 2)  # 1/4 + 2**-2 from aug_iterate(y, 1)
+    flips = [BasePoint(flip_symbol(project(aug_iterate(y, t)), 1))
+             for t in range(3)]
+    for pts, first in (([flips[0], sat, aug_iterate(y, 2)], 0),
+                       ([y, sat, flips[2]], 1)):
+        po = PseudoOrbit(pts, 4)
+        assert orbit_worst(y, po) == (first, Fraction(1, 2))
+        _assert_sweeps(y, po)
+
+
+@pytest.mark.parametrize("y", [None, ExtraPoint(1, 3, 0)])
+def test_sweeps_fill_one_radius_table_per_call(monkeypatch, y):
+    # each sweep computes the residual radius once per tag-level pair and
+    # threshold, so the count does not grow with the window
+    calls = []
+    plain = space.residual_radius
+
+    def spy(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(space, "residual_radius", spy)
+    thresholds = tuple(Fraction(1, 2 ** t) for t in range(1, 5))
+    counts = []
+    for half in (64, 512):
+        po = drifting_two_sided_orbit(half=half)
+        point = po.at(0) if y is None else y
+        calls.clear()
+        for past in (False, True):
+            failure_times(point, po, thresholds, past)
+        orbit_within(point, po, Fraction(1, 4))
+        orbit_worst(point, po)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]
