@@ -12,13 +12,16 @@ build in one extra, untimed run; those counts do not depend on the machine.
 
 --against embeds an earlier report of this script (for example one made
 on a checkout of the parent commit) under "against" and prints its median
-and window count beside each case. Times are medians over RUNS runs, in
+and window count beside each case. A case whose decay summary differs
+from the earlier one's is marked "decay differs", and the script then
+exits 1 after writing its report. Times are medians over RUNS runs, in
 seconds.
 """
 
 import argparse
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -76,6 +79,7 @@ def main():
              + [two_sided_case(h) for h in HALVES])
     report = {**header("tracing_scaling"), "cases": []}
     before = {}
+    differs = False
     if args.against:
         report["against"] = json.loads(args.against.read_text())
         before = {c["case"]: c for c in report["against"]["cases"]}
@@ -89,8 +93,13 @@ def main():
         if old:
             line += (f"  was {old['median_s']:.3f} s, "
                      f"{old['window_calls']} windows")
+            if old["decay"] != c["decay"]:
+                line += "  decay differs"
+                differs = True
         print(line, flush=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    if differs:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

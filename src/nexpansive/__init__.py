@@ -14,7 +14,6 @@ from nexpansive.base import (
     dyadic,
     flip_symbol,
     glue_specification,
-    left_tails_agree,
     periodic_orbit,
     periodic_point,
     right_tails_agree,
@@ -41,7 +40,6 @@ from nexpansive.expansivity import (
     dynamic_ball,
     in_local_stable,
     in_stable_set,
-    in_unstable_set,
     local_stable_radius,
     lower_expansivity_falsifier,
     stabilization_index,

@@ -356,11 +356,6 @@ def right_tails_agree(x, y):
     return first_mismatch_fwd(x, y, max(x.core_end, y.core_end)) is None
 
 
-def left_tails_agree(x, y):
-    """True when x[i] == y[i] for all sufficiently negative i."""
-    return first_mismatch_bwd(x, y, min(x.offset, y.offset) - 1) is None
-
-
 def periodic_point(k):
     """The tagged periodic point of level k: the k zeroes, one 1 pattern.
 

@@ -31,7 +31,6 @@ from nexpansive.base import (
     HALF,
     agree_radius,
     first_mismatch_bwd,
-    left_tails_agree,
     right_cap,
     right_tails_agree,
 )
@@ -87,14 +86,6 @@ def in_stable_set(y, x):
         return True
     if isinstance(x, BasePoint) and isinstance(y, BasePoint):
         return right_tails_agree(x.seq, y.seq)
-    return False
-
-
-def in_unstable_set(y, x):
-    if x == y:
-        return True
-    if isinstance(x, BasePoint) and isinstance(y, BasePoint):
-        return left_tails_agree(x.seq, y.seq)
     return False
 
 
@@ -354,6 +345,7 @@ def local_stable_radius(sys, center, eps):
     """
     if not 0 < eps < HALF:
         raise ValueError("eps must lie in (0, 1/2)")
+    sys.validate_point(center)
     entry = _stable_entry_time(center, eps, sys.multiplicity)
     anchor = aug_iterate(center, entry)
     report = stable_class_count(sys, anchor, eps)

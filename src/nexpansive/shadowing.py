@@ -38,7 +38,6 @@ from nexpansive.space import (
 from nexpansive.expansivity import (
     in_local_stable,
     in_stable_set,
-    in_unstable_set,
     local_stable_radius,
     stable_class_count,
     StabilizationNotReached,
@@ -333,23 +332,23 @@ class LimitShadowReport:
     candidates: tuple     # canonical keys of the representatives tried
 
 
-def _decays(y, po, thresholds, past=False):
+def _decays(y, po, thresholds):
     """((threshold, first index), ...): for each threshold, the first index
     from which every distance d(aug_iterate(y, t), po.at(t)) stays strictly
     below it, or None. Indices count the steps from time 0 over [0,
-    po.end], or with past back over [po.start, 0].
+    po.end], po starting at time 0; the past is read through the mirror
+    (_mirror_limit_orbit).
 
-    The index is one past the failing time farthest from time 0
-    (space.failure_times), or 0 when none fails. That tail must hold at
-    least two entries; a single matching value at the very end is no
-    evidence of decay (the traced point always agrees with the final
-    pseudo-orbit entry by construction).
+    The index is one past the last failing time (space.failure_times), or
+    0 when none fails. That tail must hold at least two entries; a single
+    matching value at the very end is no evidence of decay (the traced
+    point always agrees with the final pseudo-orbit entry by
+    construction).
     """
-    steps = -po.start if past else po.end
     out = []
-    for th, t in zip(thresholds, failure_times(y, po, thresholds, past)):
-        idx = 0 if t is None else abs(t) + 1
-        out.append((th, idx if idx < steps else None))
+    for th, t in zip(thresholds, failure_times(y, po, thresholds)):
+        idx = 0 if t is None else t + 1
+        out.append((th, idx if idx < po.end else None))
     return tuple(out)
 
 
@@ -539,11 +538,15 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
             (tslpo.start, -junction - 1, p1), (-junction, junction, z),
             (junction + 1, tslpo.end, p2)])
         final = shadow_pseudo_orbit(glued, eps)
-    if not in_unstable_set(final, p1) or not in_stable_set(final, p2):
+    # the mirror carries the past forward: the unstable set of p1 is the
+    # mirrored stable set of the traced past point
+    mirrored = mirror_point(final)
+    if (not in_stable_set(mirrored, past_report.point)
+            or not in_stable_set(final, p2)):
         raise RuntimeError(  # pragma: no cover - construction guarantees both
             "glued trace lost a tail equivalence")
-    past_decay, future_decay = (_decays(final, tslpo, thresholds, past)
-                                for past in (True, False))
+    past_decay, future_decay = (_decays(mirrored, past_half, thresholds),
+                                _decays(final, future_half, thresholds))
     for side, decay in (("past", past_decay), ("future", future_decay)):
         missing = [str(th) for th, idx in decay if idx is None]
         if missing:

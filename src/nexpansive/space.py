@@ -230,37 +230,35 @@ def aug_iterate(x, t):
     return ExtraPoint(x.i, x.k, (x.j + t) % (x.k + 1))
 
 
-def _carriers(y, po, lo, hi):
-    """(first, last, z, levels) for each run (first, last, x) of po,
-    clipped to [lo, hi]: z = project(x), whose shift by t is the run's
-    projection at time t, and the tag levels of (y, x), which are those of
-    (aug_iterate(y, t), po.at(t)) at every t. At t the distance is then
-    level_gap(*levels) + 2**-r, r the least |j - t| over the mismatches j
-    of project(y) against z (no base part when there are none).
+def _carriers(y, po):
+    """(first, last, z, levels) for each run (first, last, x) of po: z =
+    project(x), whose shift by t is the run's projection at time t, and
+    the tag levels of (y, x), which are those of (aug_iterate(y, t),
+    po.at(t)) at every t. At t the distance is then level_gap(*levels) +
+    2**-r, r the least |j - t| over the mismatches j of project(y) against
+    z (no base part when there are none).
     """
     for first, last, x in po.runs:
-        first, last = max(first, lo), min(last, hi)
-        if first <= last:
-            yield first, last, project(x), tag_levels(y, x)
+        yield first, last, project(x), tag_levels(y, x)
 
 
-def _sweep(y, po, lo, hi, bounds, strict):
-    """(runs, table, read) for a sweep of y along po over [lo, hi]: the
-    runs clipped to it (_carriers); a table {levels: (radii, reach)}
-    filled once per tag-level pair, radii[i] = residual_radius(bounds[i],
-    *levels, strict) and reach the largest radius above 0 (0 for none);
-    and read(a, b), which slices the symbols on [a, b) of project(y) out
-    of one window over [lo, hi] widened by the largest reach.
+def _sweep(y, po, bounds, strict):
+    """(runs, table, read) for a sweep of y along po: its runs
+    (_carriers); a table {levels: (radii, reach)} filled once per
+    tag-level pair, radii[i] = residual_radius(bounds[i], *levels, strict)
+    and reach the largest radius above 0 (0 for none); and read(a, b),
+    which slices the symbols on [a, b) of project(y) out of one window
+    over [po.start, po.end] widened by the largest reach.
     """
-    runs = list(_carriers(y, po, lo, hi))
+    runs = list(_carriers(y, po))
     table = {}
     for *_, levels in runs:
         if levels not in table:
             radii = [residual_radius(b, *levels, strict) for b in bounds]
             table[levels] = radii, max([0, *filter(None, radii)])
     widest = max(reach for _, reach in table.values())
-    base = lo - widest + 1
-    word = project(y).window(base, hi + widest)
+    base = po.start - widest + 1
+    word = project(y).window(base, po.end + widest)
     return runs, table, lambda a, b: word[a - base:b - base]
 
 
@@ -275,7 +273,7 @@ def orbit_within(y, po, eps):
     each side are read once from project(y) (_sweep) and once from z.
     """
     seq = project(y)
-    runs, table, read = _sweep(y, po, po.start, po.end, (eps,), False)
+    runs, table, read = _sweep(y, po, (eps,), False)
     if any(radii[0] is None for radii, _ in table.values()):
         return False
     for first, last, z, levels in runs:
@@ -301,7 +299,7 @@ def orbit_worst(y, po):
     """
     seq = project(y)
     best = {}  # levels -> (r, t), r None for no mismatch
-    for first, last, z, levels in _carriers(y, po, po.start, po.end):
+    for first, last, z, levels in _carriers(y, po):
         j = nearest_mismatch(seq, z, first, last)
         if j is None:
             t, r = first, None
@@ -318,31 +316,27 @@ def orbit_worst(y, po):
                key=lambda worst: (worst[1], -worst[0]))
 
 
-def failure_times(y, po, thresholds, past=False):
-    """For each threshold th, the time t farthest from time 0 with
-    aug_dist(aug_iterate(y, t), po.at(t)) >= th: the last one in [0,
-    po.end], or with past the first one in [po.start, 0]; None where no
-    time on that side fails.
+def failure_times(y, po, thresholds):
+    """For each threshold th, the last time t of the pseudo-orbit po with
+    aug_dist(aug_iterate(y, t), po.at(t)) >= th, or None where no time
+    fails. A question about the past is asked of the mirrored orbits
+    (mirror_point), whose times run the other way at the same distances.
 
     Along a run (_carriers) a time t fails exactly when some mismatch j
     of project(y) against z has |j - t| < m, m = residual_radius(th, k,
     l, True) (always for None, never for 0), read from the table of _sweep
-    by threshold position. The runs are read from the far end toward time
-    0, and a threshold is settled by the first run in which it fails.
-    Each run XORs its times widened by its pair's largest m (the reach),
-    read once from project(y) (_sweep) and once from z; the last failing
-    time is min(last, j + m - 1) for the largest mismatch j below last +
-    m (with past, the first is max(first, j - m + 1) for the smallest j
-    above first - m), if that j lies within m of the run.
+    by threshold position. The runs are read from the last one back, and a
+    threshold is settled by the first run in which it fails. Each run XORs
+    its times widened by its pair's largest m (the reach), read once from
+    project(y) (_sweep) and once from z; the last failing time is
+    min(last, j + m - 1) for the largest mismatch j below last + m, if
+    that j lies within m of the run.
     """
     seq = project(y)
-    lo, hi = (po.start, 0) if past else (0, po.end)
-    runs, table, read = _sweep(y, po, lo, hi, thresholds, True)
-    if not past:
-        runs.reverse()
+    runs, table, read = _sweep(y, po, thresholds, True)
     found = [None] * len(thresholds)
     pending = range(len(thresholds))
-    for first, last, z, levels in runs:
+    for first, last, z, levels in reversed(runs):
         radii, reach = table[levels]
         mask = 0
         if reach and seq != z:
@@ -352,12 +346,7 @@ def failure_times(y, po, thresholds, past=False):
         for i in pending:
             m = radii[i]
             if m is None:
-                found[i] = first if past else last
-            elif m and mask and past:
-                near = mask & ((1 << (hi_w - first + m - 1)) - 1)
-                j = hi_w - near.bit_length()
-                if near and j < last + m:
-                    found[i] = max(first, j - m + 1)
+                found[i] = last
             elif m and mask:
                 near = mask >> (reach - m)
                 j = last + m - (near & -near).bit_length()

@@ -206,6 +206,8 @@ def test_config_overrides_flags(runner, tmp_path):
     ["two-sided", "--past-word", "01", "--future-word", "01", "--half", "8"],
     ["metric-axioms", "--k-hi", "100"],
     ["two-sided", "--half", "1"],
+    ["stable-radius", "--center", "extra:1,5,9"],
+    ["stable-radius", "--center", "extra:1,5,-1"],
 ])
 def test_library_value_errors_exit_two(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -219,6 +221,10 @@ def test_library_value_errors_exit_two(runner, tmp_path, args):
         assert "'1/2'" not in result.output
     if args[0] == "metric-axioms":
         assert "k_hi=100 exceeds enumeration bound 50" in result.output
+    if args[0] == "stable-radius":
+        j = args[-1].split(",")[-1]
+        assert (f"ExtraPoint(i=1, k=5, j={j}) has an invalid level or phase"
+                in result.output)
     if args[-2] == "--half":
         half = args[-1]
         assert (f"past tail of {half} steps is too short to limit-trace" in

@@ -20,7 +20,8 @@ DIGESTS = Path(__file__).with_name("report_digests.json")
 # The README's commands, with the sizes of shadow, expansivity, two-sided
 # and metric-axioms cut so the whole table runs in a few seconds; classes
 # runs without --edges-csv, whose path the report would echo. The horizon
-# ball over a satellite center pins a satellite's window suprema.
+# ball over a satellite center pins a satellite's window suprema, and the
+# second two-sided run decays at nonzero indices on both sides of time 0.
 COMMANDS = [
     "construct --k-hi 12",
     "ball --center periodic:12 --radius 1/12",
@@ -36,6 +37,8 @@ COMMANDS = [
     "stable-radius --center periodic:7 --eps 1/7 --window 8",
     "limit-shadow --stages 10",
     "two-sided --half 128",
+    "two-sided --half 256 --past-word 01 --future-word 0011 "
+    "--thresholds 1/2,1/64,1/4096,1/262144",
     "metric-axioms --trials 2000 --seed 7",
 ]
 

@@ -25,7 +25,6 @@ from nexpansive.expansivity import (
     StabilizationNotReached,
     in_local_stable,
     in_stable_set,
-    in_unstable_set,
     stabilization_index,
     stable_class_count,
 )
@@ -54,8 +53,9 @@ from nexpansive.samples import (
     random_point,
     switching_limit_orbit,
 )
-from oracles import (brute_decay_index, brute_orbit_dists, brute_runs,
-                     brute_schedule_ok, point_runs)
+from oracles import (brute_decay_index, brute_left_tails_agree,
+                     brute_orbit_dists, brute_runs, brute_schedule_ok,
+                     point_runs)
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -570,7 +570,8 @@ def decay_cases(draw):
 
 
 class TestDecay:
-    """_decays on both sides of time 0, and verify_shadow, against
+    """_decays on both sides of time 0, the past read forward through the
+    mirror as two_sided_limit_shadow reads it, and verify_shadow, against
     brute_decay_index and the maximum over brute_orbit_dists."""
 
     @settings(max_examples=300, deadline=None)
@@ -582,9 +583,11 @@ class TestDecay:
         # thresholds equal to listed distances, where a tie fails
         thresholds += data.draw(st.lists(st.sampled_from(dists), max_size=3))
         split = -po.start
-        for past, half in ((True, dists[split::-1]), (False, dists[split:])):
-            assert _decays(y, po, thresholds, past) == tuple(
-                (th, brute_decay_index(half, th)) for th in thresholds)
+        for point, half, want in (
+                (mirror_point(y), _mirror_limit_orbit(po), dists[split::-1]),
+                (y, po.tail(0, po.schedule), dists[split:])):
+            assert _decays(point, half, thresholds) == tuple(
+                (th, brute_decay_index(want, th)) for th in thresholds)
         worst = max(dists)
         for eps in (worst, *thresholds):
             check = verify_shadow(po, y, eps)
@@ -605,11 +608,12 @@ class TestDecay:
         thresholds = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
         want = tuple((th, brute_decay_index(dists, th)) for th in thresholds)
         y = BasePoint(zero)
-        for po, past in ((PseudoOrbit(pts, 4), False),
-                         (PseudoOrbit(pts[::-1], 4, 1 - len(pts)), True)):
-            assert brute_orbit_dists(y, po.points, po.start) == (
-                dists[::-1] if past else dists)
-            decay = _decays(y, po, thresholds, past)
+        past = PseudoOrbit(pts[::-1], 4, 1 - len(pts))
+        assert brute_orbit_dists(y, past.points, past.start) == dists[::-1]
+        for point, po in ((y, PseudoOrbit(pts, 4)),
+                          (mirror_point(y), _mirror_limit_orbit(past))):
+            assert brute_orbit_dists(point, po.points, po.start) == dists
+            decay = _decays(point, po, thresholds)
             assert decay == want
             for th, idx in decay:
                 assert idx is None or len(dists) - idx >= 2
@@ -781,22 +785,24 @@ class TestTwoSidedShadowing:
     def test_drifting_orbit(self, sys3):
         ts = drifting_two_sided_orbit(half=128)
         report = two_sided_limit_shadow(sys3, ts)
-        assert in_unstable_set(report.point, report.past_point)
+        assert brute_left_tails_agree(report.point.seq,
+                                      report.past_point.seq)
         assert in_stable_set(report.point, report.future_point)
         assert report.junction is not None
         assert 2 * report.junction >= report.spacing
         for th, idx in report.past_decay + report.future_decay:
             assert idx is not None
         # the past tail really converges to the past pattern's orbit
-        assert in_unstable_set(report.past_point,
-                               BasePoint(periodic_point(2)))
+        assert brute_left_tails_agree(report.past_point.seq,
+                                      periodic_point(2))
 
     def test_degenerate_same_orbit(self, sys3):
         ts = drifting_two_sided_orbit(past_word="001", future_word="001",
                                       half=64, defect_step=8)
         report = two_sided_limit_shadow(sys3, ts)
         assert in_stable_set(report.point, report.future_point)
-        assert in_unstable_set(report.point, report.past_point)
+        assert brute_left_tails_agree(report.point.seq,
+                                      report.past_point.seq)
         assert in_stable_set(report.past_point, report.future_point)
 
     def test_same_satellite_orbit_short_circuits(self, sys3):

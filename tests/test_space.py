@@ -32,7 +32,7 @@ from nexpansive.space import (
     project,
     tail_label,
 )
-from nexpansive.shadowing import PseudoOrbit
+from nexpansive.shadowing import PseudoOrbit, _mirror_limit_orbit
 from nexpansive.samples import (
     drifting_two_sided_orbit,
     hop_pseudo_orbit,
@@ -340,23 +340,27 @@ def _any_po(points, back):
 
 
 def _assert_sweeps(y, po):
-    """orbit_worst, and failure_times on both sides, against the per-index
-    oracle brute_orbit_dists: the first time of the largest distance, and
-    for each threshold the failing time farthest from 0 on each side."""
+    """orbit_worst and failure_times against the per-index oracle
+    brute_orbit_dists: the first time of the largest distance, and for each
+    threshold the last failing time over the whole window; through the
+    mirror, failure_times reads the first failing time in [po.start, 0],
+    negated."""
     pts = po.points
     dists = brute_orbit_dists(y, pts, po.start)
     worst = max(dists)
     assert orbit_worst(y, po) == (po.start + dists.index(worst), worst)
     ths = sorted(th for th in _bounds_around(dists, pts) | SWEEP_BOUNDS
                  if th > 0)
-    for past, side in ((False, range(0, po.end + 1)),
-                       (True, range(po.start, 1))):
-        want = []
-        for th in ths:
-            failing = [t for t in side if dists[t - po.start] >= th]
-            want.append((failing[0] if past else failing[-1])
-                        if failing else None)
-        assert failure_times(y, po, ths, past) == tuple(want), (y, past)
+    last, first_past = [], []
+    for th in ths:
+        failing = [t for t in range(po.start, po.end + 1)
+                   if dists[t - po.start] >= th]
+        last.append(failing[-1] if failing else None)
+        past = [-t for t in failing if t <= 0]
+        first_past.append(past[0] if past else None)
+    assert failure_times(y, po, ths) == tuple(last), y
+    mirrored = failure_times(mirror_point(y), _mirror_limit_orbit(po), ths)
+    assert mirrored == tuple(first_past), y
 
 
 class TestOrbitDists:
@@ -618,8 +622,7 @@ def test_sweeps_fill_one_radius_table_per_call(monkeypatch, y):
         po = drifting_two_sided_orbit(half=half)
         point = po.at(0) if y is None else y
         calls.clear()
-        for past in (False, True):
-            failure_times(point, po, thresholds, past)
+        failure_times(point, po, thresholds)
         orbit_within(point, po, Fraction(1, 4))
         orbit_worst(point, po)
         counts.append(len(calls))
