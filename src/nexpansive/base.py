@@ -243,42 +243,18 @@ def left_cap(x, y, start):
 
 
 def first_mismatch_fwd(x, y, start=0):
-    """Smallest index >= start where x and y disagree, or None.
-
-    The scan stops at right_cap(x, y, start) instead of at lcm(p, q) of
-    the right periods. It compares windows of doubling length, starting
-    with a short probe, since most lookups disagree early.
-    """
-    hi = right_cap(x, y, start)
-    step = _PROBE
-    while start < hi:
-        end = min(start + step, hi)
-        xs, ys = x.window(start, end), y.window(start, end)
-        if xs != ys:
-            return end - _diff_bits(xs, ys).bit_length()
-        start = end
-        step *= 2
-    return None
+    """Smallest index >= start where x and y disagree, or None: one lies in
+    [start, right_cap(x, y, start)) if any does. The package calls neither
+    this nor first_mismatch_bwd; perfbench traces both by name."""
+    j = nearest_mismatch(x, y, start, right_cap(x, y, start))
+    return j if j is not None and j >= start else None
 
 
 def first_mismatch_bwd(x, y, start=-1):
-    """Largest index <= start where x and y disagree, or None.
-
-    The mirror image of first_mismatch_fwd: the scan stops at
-    left_cap(x, y, start).
-    """
-    lo = left_cap(x, y, start)
-    step = _PROBE
-    end = start + 1
-    while end > lo:
-        begin = max(end - step, lo)
-        xs, ys = x.window(begin, end), y.window(begin, end)
-        if xs != ys:
-            bits = _diff_bits(xs, ys)
-            return end - (bits & -bits).bit_length()
-        end = begin
-        step *= 2
-    return None
+    """Largest index <= start where x and y disagree, or None: the
+    reversed pair's first mismatch from -start on, negated."""
+    j = first_mismatch_fwd(x.reverse(), y.reverse(), -start)
+    return None if j is None else -j
 
 
 def mismatch_radius(x, y):
@@ -305,9 +281,9 @@ def nearest_mismatch(x, y, lo, hi):
     compares x and y on [lo - r, hi + r] and reads the mismatches off the
     XOR of the two words, r starting at _PROBE and doubling, each side
     clipped at its Fine and Wilf cap, left_cap(x, y, lo - 1) and
-    right_cap(x, y, hi + 1), as in first_mismatch_fwd and _bwd. The
-    nearest mismatch on each side lies inside its cap, so one at distance
-    at most r lies in the clipped window and is nearest.
+    right_cap(x, y, hi + 1). The nearest mismatch on each side lies inside
+    its cap, so one at distance at most r lies in the clipped window and
+    is nearest. This is the package's one outward mismatch scan.
     """
     if x == y:
         return None
@@ -347,13 +323,22 @@ def base_dist(x, y):
     return Fraction(0) if m is None else dyadic(m)
 
 
-def right_tails_agree(x, y):
-    """True when x[i] == y[i] for all large enough i.
+def agree_from(x, y, start):
+    """True when x[i] == y[i] for every i >= start. Canonical right periods
+    are primitive, hence least: rays with periods of unequal lengths never
+    agree, and rays with one period p agree from s0 = max(start, both core
+    ends) on exactly when they agree on the p symbols from s0."""
+    p = len(x.right)
+    if p != len(y.right):
+        return False
+    hi = max(start, x.core_end, y.core_end) + p
+    return x.window(start, hi) == y.window(start, hi)
 
-    For tail-periodic sequences this is equivalent to exact agreement from
-    the last core boundary on, which the symbols up to right_cap decide.
-    """
-    return first_mismatch_fwd(x, y, max(x.core_end, y.core_end)) is None
+
+def right_tails_agree(x, y):
+    """True when x[i] == y[i] for all large enough i: agreement from the
+    last core boundary on (agree_from)."""
+    return agree_from(x, y, max(x.core_end, y.core_end))
 
 
 def periodic_point(k):

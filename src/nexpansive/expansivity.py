@@ -29,9 +29,9 @@ from fractions import Fraction
 
 from nexpansive.base import (
     HALF,
+    agree_from,
     agree_radius,
-    first_mismatch_bwd,
-    right_cap,
+    nearest_mismatch,
     right_tails_agree,
 )
 from nexpansive.space import (
@@ -62,9 +62,8 @@ def in_local_stable(y, x, eps):
     mismatch below 0. It must stay within r = eps minus the tag gap, and
     residual_radius reads the rule for r off its table: r < 0 never,
     r >= 1 always, r == 0 only equal projections, and otherwise agreement
-    on [1 - m, oo) with m = agree_radius(r, strict=False). The window
-    stops at right_cap(px, py, 0), past which that ray is decided (Fine
-    and Wilf).
+    on [1 - m, oo) with m = agree_radius(r, strict=False), which the
+    periods decide (base.agree_from).
     """
     m = residual_radius(eps, *tag_levels(x, y), False)
     if m is None or m == 0:
@@ -72,8 +71,7 @@ def in_local_stable(y, x, eps):
     px, py = project(x), project(y)
     if px == py or m < 0:
         return px == py
-    hi = right_cap(px, py, 0)
-    return px.window(1 - m, hi) == py.window(1 - m, hi)
+    return agree_from(px, py, 1 - m)
 
 
 def in_stable_set(y, x):
@@ -310,7 +308,8 @@ def _stable_entry_time(center, eps, multiplicity):
     orbit, membership of that cluster at iterate m requires every mismatch
     with the periodic continuation to lie in the past and the last one to
     sit deeper than the spare radius. Both conditions move one step per
-    iterate, so the entry time is read off the last mismatch position.
+    iterate, so the entry time is read off the last mismatch: the one
+    nearest the last core end, as ext continues s's right tail.
     """
     if isinstance(center, ExtraPoint):
         return 0
@@ -327,7 +326,8 @@ def _stable_entry_time(center, eps, multiplicity):
     spare = eps - level_gap(k)
     if spare <= 0:
         return 0
-    last = first_mismatch_bwd(s, ext, max(s.core_end, ext.core_end))
+    start = max(s.core_end, ext.core_end)
+    last = nearest_mismatch(s, ext, start, start)
     return max(0, last + agree_radius(spare, False))
 
 

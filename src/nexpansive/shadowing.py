@@ -124,8 +124,8 @@ class PseudoOrbit:
     at time t of the run being aug_iterate(x, t). Every run break the
     schedule covers is checked against the tightest entry covering its
     time, on the window that entry's bound fixes (space.dist_below); the
-    exact jump appears only in the error message. tail() is the one
-    unchecked derivation.
+    exact jump appears only in the error message. tail() and the past
+    mirror are the unchecked derivations (_derived).
     """
 
     schedule: tuple
@@ -160,9 +160,18 @@ class PseudoOrbit:
                 raise ValueError(
                     f"jump {jump} at time {t} (index {t - merged[0][0]}) "
                     f"violates bound {bound} from |t| >= {k}")
+        return self._store(schedule, map(tuple, merged))
+
+    def _store(self, schedule, runs):
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "runs", tuple(map(tuple, merged)))
+        object.__setattr__(self, "runs", tuple(runs))
         return self
+
+    @classmethod
+    def _derived(cls, schedule, runs):
+        """Store a normalized schedule and maximal runs valid under it,
+        unchecked, as derived from a checked pseudo-orbit."""
+        return object.__new__(cls)._store(schedule, runs)
 
     def tail(self, k, schedule):
         """The points from time k on, moved to start at time 0, under a
@@ -184,12 +193,9 @@ class PseudoOrbit:
                 raise ValueError(
                     f"tail entry ({j}, {b}) from time {k} is not implied by "
                     "the parent schedule")
-        tail = object.__new__(PseudoOrbit)
-        object.__setattr__(tail, "schedule", schedule)
-        object.__setattr__(tail, "runs", tuple(
+        return PseudoOrbit._derived(schedule, (
             (max(a, k) - k, b - k, aug_iterate(x, k))
             for a, b, x in self.runs if b >= k))
-        return tail
 
     @property
     def delta(self):
@@ -450,12 +456,16 @@ def _mirror_limit_orbit(tslpo):
 
     Sequence reversal is an isometric conjugacy between the map and its
     inverse, so a run (a, b, x) with a <= 0 mirrors to (-min(b, 0), -a,
-    mirror_point(x)); one application of the inverse map stretches
-    distances by at most the factor two of the base shift, so the mirrored
-    half validates against the original schedule with doubled bounds.
+    mirror_point(x)), and the conjugacy proves what a check would find.
+    Breaks map to breaks, time t's to time s = -t - 1's, and mirror_point
+    is injective, so the runs stay maximal. The mirrored jump at s is
+    d(f^-1(x_{t+1}), x_t), at most twice the jump at t, since the inverse
+    map stretches distances by at most the base shift's factor two; and an
+    entry (k, b) covers t <= -k - 1, that is s >= k. So the runs are valid
+    under the original schedule with doubled bounds, unchecked (_derived).
     """
-    return object.__new__(PseudoOrbit)._settle(
-        [(k, 2 * b) for k, b in tslpo.schedule],
+    return PseudoOrbit._derived(
+        tuple((k, 2 * b) for k, b in tslpo.schedule),
         [(-min(b, 0), -a, mirror_point(x))
          for a, b, x in reversed(tslpo.runs) if a <= 0])
 

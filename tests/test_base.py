@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import nexpansive
 from nexpansive.base import (
     BiSeq,
+    agree_from,
     agree_radius,
     assemble,
     base_dist,
@@ -469,8 +470,9 @@ class TestFineWilfMismatch:
     @given(tail_pairs(), st.integers(-20, 20))
     def test_matches_lcm_scan(self, pair, start):
         x, y = pair
-        assert first_mismatch_fwd(x, y, start) == \
-            brute_first_mismatch_fwd(x, y, start)
+        fwd = brute_first_mismatch_fwd(x, y, start)
+        assert first_mismatch_fwd(x, y, start) == fwd
+        assert agree_from(x, y, start) == (fwd is None)
         assert first_mismatch_bwd(x, y, start) == \
             brute_first_mismatch_bwd(x, y, start)
 
@@ -501,6 +503,91 @@ class TestFineWilfMismatch:
         assert first_mismatch_bwd(x, y, -1) == -1
         assert base_dist(x, y) == Fraction(1, 2)
         assert not right_tails_agree(x, y) and not mirrored_tails_agree(x, y)
+
+
+def fine_wilf_word(p, q, bits):
+    """A word of length p + q that has periods p and q on its first
+    p + q - gcd(p, q) - 1 symbols: positions i and i + p, and i and i + q,
+    below that length are joined and each class takes the bit its least
+    position draws. For p != q that is the Fine-Wilf extremal length, so
+    the two periods may part right after it."""
+    n = p + q - math.gcd(p, q) - 1
+    root = list(range(p + q))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in range(n):
+        for j in (i + p, i + q):
+            if j < n:
+                a, b = sorted((find(i), find(j)))
+                root[b] = a
+    return "".join(bits[find(i)] for i in range(p + q))
+
+
+@st.composite
+def agree_cases(draw):
+    """(x, y, start) for agree_from: random pairs, flipped and shifted
+    copies, equal-length but different right periods, and Fine-Wilf
+    extremal pairs, with starts below, inside and beyond both cores."""
+    x = BiSeq(draw(words), draw(cores), draw(words), draw(offsets))
+    kind = draw(st.sampled_from(["random", "flip", "shift", "same_length",
+                                 "extremal"]))
+    if kind == "random":
+        y = BiSeq(draw(words), draw(cores), draw(words), draw(offsets))
+    elif kind == "flip":
+        y = x
+        for at in draw(st.lists(st.integers(-12, 12), min_size=1,
+                                max_size=2)):
+            y = flip_symbol(y, at)
+    elif kind == "shift":
+        y = x.shift(draw(st.integers(-6, 6)))
+    elif kind == "same_length":
+        # one symbol of the right period flipped: the same length, and the
+        # two rays part once per period
+        i = draw(st.integers(0, len(x.right) - 1))
+        right = x.right[:i] + "10"[int(x.right[i])] + x.right[i + 1:]
+        y = BiSeq(draw(words), x.core, right, x.offset)
+    else:
+        p, q = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        u = fine_wilf_word(p, q, draw(st.lists(st.sampled_from("01"),
+                                               min_size=p + q,
+                                               max_size=p + q)))
+        core, offset = draw(cores), draw(offsets)
+        x = BiSeq(draw(words), core, u[:p], offset)
+        y = BiSeq(draw(words), core, u[:q], offset)
+    ends = (x.offset, y.offset, x.core_end, y.core_end)
+    start = draw(st.one_of(
+        st.integers(-20, 20),
+        st.tuples(st.sampled_from(ends), st.integers(-8, 8)).map(sum)))
+    return x, y, start
+
+
+class TestAgreeFrom:
+    @settings(max_examples=500, deadline=None)
+    @given(agree_cases())
+    def test_matches_lcm_scan(self, case):
+        x, y, start = case
+        want = brute_first_mismatch_fwd(x, y, start) is None
+        assert agree_from(x, y, start) == want
+        assert agree_from(y, x, start) == want
+
+    def test_examples(self):
+        # periods 5 and 3 share 010010, the p + q - gcd - 1 = 6 symbols
+        # Fine and Wilf allow, and part at index 6
+        x, y = BiSeq("1", "", "01001", 0), BiSeq("1", "", "010", 0)
+        assert not agree_from(x, y, 0) and not agree_from(x, y, 6)
+        # one period length; the rays part at the last symbol of a period
+        x, y = BiSeq("1", "1", "0001", 0), BiSeq("1", "1", "0010", 0)
+        assert not agree_from(x, y, 1) and not agree_from(x, y, -5)
+        # a mismatch deep in the longer core, past the shorter core's end
+        # plus one period
+        x = BiSeq("0", "1", "0", 0)
+        y = flip_symbol(x, 9)
+        assert not agree_from(x, y, 0) and agree_from(x, y, 10)
+        assert agree_from(y, y, -30)
 
 
 long_words = st.integers(1, 300).flatmap(

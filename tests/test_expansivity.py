@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nexpansive import space
 from nexpansive.base import (
     BiSeq,
+    agree_radius,
     assemble,
     flip_symbol,
     periodic_orbit,
@@ -26,6 +27,7 @@ from nexpansive.space import (
     orbit_label,
     project,
     tag_levels,
+    tail_label,
     window_sup_dist,
 )
 from nexpansive.expansivity import (
@@ -46,6 +48,8 @@ from nexpansive.expansivity import (
 from nexpansive.samples import construction_sample, random_point, window_probe
 from oracles import (
     brute_ball_members,
+    brute_first_mismatch_bwd,
+    brute_first_mismatch_fwd,
     brute_left_tails_agree,
     brute_stable_classes,
     brute_sup_forward,
@@ -530,6 +534,33 @@ def stabilization_cases(draw):
     eps = draw(st.sampled_from([*STABILIZATION_EPS,
                                 *([spare] * 4 if spare < HALF else [])]))
     return system, center, eps
+
+
+def scanned_entry_time(center, eps, multiplicity):
+    """_stable_entry_time with its last mismatch found by the symbol scan
+    oracles.brute_first_mismatch_bwd, after checking that the tagged
+    orbit continuing the center's right tail leaves no mismatch at or
+    above the last core end."""
+    label = (None if isinstance(center, ExtraPoint)
+             else tail_label(center.seq))
+    if label is None or multiplicity(label[0]) < 1:
+        return 0
+    s, ext = center.seq, project(ExtraPoint(1, *label))
+    spare = eps - level_gap(label[0])
+    if s == ext or spare <= 0:
+        return 0
+    start = max(s.core_end, ext.core_end)
+    assert brute_first_mismatch_fwd(s, ext, start) is None
+    last = brute_first_mismatch_bwd(s, ext, start)
+    return max(0, last + agree_radius(spare, False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stabilization_cases())
+def test_entry_time_matches_backward_scan(case):
+    system, center, eps = case
+    assert (_stable_entry_time(center, eps, system.multiplicity)
+            == scanned_entry_time(center, eps, system.multiplicity))
 
 
 class TestStabilization:

@@ -294,6 +294,25 @@ class TestRunTable:
         assert got == want
         assert got.points == want.points
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.text("01", min_size=1, max_size=4),
+           st.text("01", min_size=1, max_size=4), st.integers(8, 96),
+           st.integers(1, 5))
+    def test_mirror_equals_the_checked_mirror(self, past, future, half,
+                                              step):
+        # _mirror_limit_orbit stores its runs unchecked on the strength of
+        # the conjugacy; the checked path, _settle under the doubled
+        # schedule, must accept the same runs and store them unchanged
+        ts = drifting_two_sided_orbit(past, future, half=half,
+                                      defect_step=step)
+        checked = object.__new__(PseudoOrbit)._settle(
+            [(k, 2 * b) for k, b in ts.schedule],
+            [(-min(b, 0), -a, mirror_point(x))
+             for a, b, x in reversed(ts.runs) if a <= 0])
+        got = _mirror_limit_orbit(ts)
+        assert got.schedule == checked.schedule
+        assert got.runs == checked.runs
+
     @pytest.mark.parametrize("words, half, step", [
         (("001", "0001"), 64, 4), (("001", "0001"), 128, 4),
         (("001", "0001"), 100, 3), (("001", "001"), 64, 8)])
