@@ -10,15 +10,21 @@ build in one extra, untimed run; those counts do not depend on the machine.
     python3 bench/tracing_scaling.py BENCH.json
     python3 bench/tracing_scaling.py new.json --against old.json
 
+Each case also records the sha256 of its whole result, as
+json.dumps(encode(result), sort_keys=True), so a changed traced point,
+stage flag or candidate list shows even when the decays agree.
+
 --against embeds an earlier report of this script (for example one made
 on a checkout of the parent commit) under "against" and prints its median
 and window count beside each case. A case whose decay summary differs
-from the earlier one's is marked "decay differs", and the script then
-exits 1 after writing its report. Times are medians over RUNS runs, in
-seconds.
+from the earlier one's is marked "decay differs", and one whose result
+digest differs is marked "report differs" (an earlier report without
+digests is not compared that way); either makes the script exit 1 after
+writing its report. Times are medians over RUNS runs, in seconds.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -27,6 +33,7 @@ from pathlib import Path
 
 from common import header, window_counts  # also puts src/ on sys.path
 from nexpansive.base import dyadic
+from nexpansive.codec import encode
 from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
 from nexpansive.shadowing import limit_shadow, two_sided_limit_shadow
 from nexpansive.space import AugSystem
@@ -66,7 +73,9 @@ def measure(name, points, call, summary):
     return {"case": name, "points": points,
             "median_s": statistics.median(times), "runs": RUNS,
             "times_s": times, "window_calls": calls,
-            "window_symbols": symbols, "decay": summary(result)}
+            "window_symbols": symbols, "decay": summary(result),
+            "sha256": hashlib.sha256(json.dumps(
+                encode(result), sort_keys=True).encode()).hexdigest()}
 
 
 def main():
@@ -95,6 +104,9 @@ def main():
                      f"{old['window_calls']} windows")
             if old["decay"] != c["decay"]:
                 line += "  decay differs"
+                differs = True
+            if old.get("sha256", c["sha256"]) != c["sha256"]:
+                line += "  report differs"
                 differs = True
         print(line, flush=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -19,8 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nexpansive.base import (HALF, agree_radius, base_shadow, dyadic,
-                             glue_specification)
+from nexpansive.base import (HALF, agree_radius, assemble, base_shadow,
+                             dyadic, glue_specification)
 from nexpansive.space import (
     AugPoint,
     BasePoint,
@@ -34,6 +34,7 @@ from nexpansive.space import (
     orbit_within,
     orbit_worst,
     project,
+    stages_within,
 )
 from nexpansive.expansivity import (
     in_local_stable,
@@ -363,6 +364,51 @@ def _check_thresholds(thresholds):
         raise ValueError("thresholds must be positive")
 
 
+def _trace_stages(lpo, finest):
+    """{key: point at its start} for limit_shadow's stage keys (start, m,
+    base_exp), listed by start: what shadow_pseudo_orbit traces for
+    lpo.tail(start, 1/m) at resolution finest[key], from one pass in lpo's
+    own time. A tail touching a satellite of level below m is one run of
+    it, traced by its own point. Every other key's point spells the runs'
+    carriers from its start on over the carrier of the run holding it: one
+    word under per-key left tails. Each run break is checked once, at the
+    widest base_exp of the keys covering it, and one sweep verifies every
+    key (space.stages_within).
+    """
+    runs, traced, stages = lpo.runs, {}, []
+    sats = [(b, x.k) for _, b, x in runs if isinstance(x, ExtraPoint)]
+    for key, res in finest.items():
+        s, m, _ = key
+        i = bisect_right(runs, s, key=lambda run: run[0]) - 1
+        if not any(b >= s and k < m for b, k in sats):
+            stages.append((key, res, project(runs[i][2])))
+        elif i == len(runs) - 1:
+            traced[key] = aug_iterate(runs[i][2], s)
+        else:  # pragma: no cover - a valid tail cannot leave the satellite
+            raise RuntimeError(f"tail from {s} leaves a satellite below 1/{m}")
+    if not stages:
+        return traced
+    s0, starts = stages[0][0][0], [key[0] for key, _, _ in stages]
+    carried = [(max(a, s0), b, project(x)) for a, b, x in runs if b >= s0]
+    for (_, t, z), (_, _, nxt) in zip(carried, carried[1:]):
+        # the last key from t back has the finest modulus, the widest e;
+        # the schedule behind it forbids a failure here
+        e = stages[bisect_right(starts, t) - 1][0][2]
+        if z.window(t + 1 - e, t + 2 + e) != nxt.window(t + 1 - e, t + 2 + e):
+            raise RuntimeError(  # pragma: no cover
+                f"run break at time {t} is not below 2**-{e}")
+    word = "".join(z.window(a, b + 1) for a, b, z in carried)
+    y = assemble(stages[0][2], s0, word, lpo.end + 1, carried[-1][2], 0)
+    # the modulus arithmetic forbids a failure here
+    if not stages_within(BasePoint(y), lpo, [(key[0], res, c)
+                                             for key, res, c in stages]):
+        raise RuntimeError(  # pragma: no cover
+            "traced stage points failed their own verification")
+    for (s, m, e), _, c in stages:
+        traced[s, m, e] = BasePoint(assemble(c, s, "", s, y, 0).shift(s))
+    return traced
+
+
 def limit_shadow(sys, lpo, thresholds=None):
     """Trace a limit pseudo-orbit by a point with vanishing forward error.
 
@@ -371,7 +417,8 @@ def limit_shadow(sys, lpo, thresholds=None):
     resolution AMBIENT/(j+1), then pulls the traced point back to time
     zero. Finer resolutions keep producing stages as long as the schedule
     supports them, up to eight; three stages are the minimum. Stages that
-    share their start and modulus share one trace. The stage-1
+    share their start and modulus share one key, and the keys share one
+    spelled word and one verifying sweep (_trace_stages). The stage-1
     point's stable classes (at the iterate where their count stabilizes
     within 16 steps) provide finitely many candidates, and the candidate
     whose forward distance to the prefix passes every requested threshold
@@ -396,13 +443,10 @@ def limit_shadow(sys, lpo, thresholds=None):
             "prefix too short relative to the schedule: "
             f"only {len(stages)} usable stages")
     # Stages with one key (start, m, base_exp) trace the same tail with the
-    # same modulus, hence to the same point. It is traced once and verified
-    # at the key's finest resolution, the last one listed, which implies
-    # the coarser ones.
+    # same modulus, hence to the same point, verified at the key's finest
+    # resolution, the last one listed, which implies the coarser ones.
     finest = {key: res for res, key in stages}
-    traced = {key: shadow_pseudo_orbit(lpo.tail(key[0], Fraction(1, key[1])),
-                                       res)
-              for key, res in finest.items()}
+    traced = _trace_stages(lpo, finest)
     # a stage's point sits at its start; stage 1's, at time 0, is the reference
     first = aug_iterate(traced[stages[0][1]], -stages[0][1][0])
     consistent = {key: in_local_stable(point, aug_iterate(first, key[0]),

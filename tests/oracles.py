@@ -2,7 +2,9 @@
 
 Nothing here reuses the library's mismatch search, supremum shortcuts or
 component algorithms; everything is computed from first principles (symbol
-scans, windowed maxima, boolean closure), at small scale.
+scans, windowed maxima, boolean closure), at small scale. The one
+exception, per_key_trace, is the library's own earlier tracing path, kept
+as the reference of the path that replaced it.
 """
 
 import math
@@ -19,6 +21,7 @@ from nexpansive.space import (
     canonical_key,
     project,
 )
+from nexpansive.shadowing import shadow_pseudo_orbit
 
 
 def description_span(*seqs):
@@ -375,3 +378,14 @@ def loop_spacing_radius(eps):
     while Fraction(1, 2) ** h > eps:
         h += 1
     return h
+
+
+def per_key_trace(lpo, finest):
+    """{key: point at its start} for limit_shadow's stage keys (start, m,
+    base_exp), one trace per key: the key's tail, re-based to time 0 by
+    lpo.tail under the bound 1/m, traced by shadow_pseudo_orbit at the
+    key's finest resolution finest[key]. This is the per-key path that
+    one shared stage pass replaced, kept as its reference."""
+    return {key: shadow_pseudo_orbit(lpo.tail(key[0], Fraction(1, key[1])),
+                                     res)
+            for key, res in finest.items()}

@@ -55,7 +55,7 @@ from nexpansive.samples import (
 )
 from oracles import (brute_decay_index, brute_left_tails_agree,
                      brute_orbit_dists, brute_runs, brute_schedule_ok,
-                     point_runs)
+                     per_key_trace, point_runs)
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -712,17 +712,25 @@ class TestStageSharing:
         for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
             _same_limit_outcome(sys3, lpo, thresholds)
 
-    def test_one_trace_per_key_at_its_finest_resolution(self, sys3,
-                                                        monkeypatch):
+    def test_one_word_and_one_sweep_per_call(self, sys3, monkeypatch):
+        # every key's point is spelled from one word and verified in one
+        # sweep at the key's finest resolution; no tail is traced alone
         lpo = switching_limit_orbit(stages=10)
-        calls = []
-        trace = shadowing.shadow_pseudo_orbit
+        words, sweeps = [], []
+        spell, sweep = shadowing.assemble, shadowing.stages_within
 
-        def spy(tail, eps):
-            calls.append((lpo.end - tail.end, tail.delta, eps))
-            return trace(tail, eps)
+        def spy_spell(*args):
+            words.append(args[2])
+            return spell(*args)
 
-        monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", spy)
+        def spy_sweep(y, po, stages):
+            sweeps.append([(s, eps) for s, eps, _ in stages])
+            return sweep(y, po, stages)
+
+        monkeypatch.setattr(shadowing, "assemble", spy_spell)
+        monkeypatch.setattr(shadowing, "stages_within", spy_sweep)
+        monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", lambda *args: (
+            pytest.fail("a stage key was traced on its own")))
         report = limit_shadow(sys3, lpo)
         finest = {}
         for stage in report.stages:
@@ -730,8 +738,85 @@ class TestStageSharing:
             finest[key] = min(finest.get(key, stage.resolution),
                               stage.resolution)
         assert len(report.stages) == 8 and len(finest) == 4
-        assert sorted(calls) == sorted((*key, eps)
-                                       for key, eps in finest.items())
+        [word] = [w for w in words if w]
+        assert len(word) == lpo.end + 1 - report.stages[0].start_index
+        assert sweeps == [[(s, eps) for (s, _), eps in finest.items()]]
+
+
+def _mixed_branch_orbit():
+    """A prefix riding p(60) on the base for t < 40, then its satellite
+    ExtraPoint(1, 60, .): the stage key (0, 49) traces in the base, and
+    (41, 97), (42, 193) and (43, 385) take the satellite's orbit, since
+    their moduli sit below its level."""
+    p = periodic_point(60)
+    pts = [BasePoint(p.shift(t)) if t < 40 else ExtraPoint(1, 60, t % 61)
+           for t in range(100)]
+    return PseudoOrbit(pts, ((0, Fraction(1, 50)), *(
+        (40 + j, Fraction(1, 50 * 2 ** j)) for j in range(1, 6))))
+
+
+def _shared_stage_pass(sys, lpo, thresholds):
+    """Run limit_shadow and check that the points of its shared stage pass
+    equal the per-key traces (oracles.per_key_trace) of the same keys.
+    Returns those points, or None when the prefix is too short to trace."""
+    seen = []
+    shared = shadowing._trace_stages
+
+    def spy(lpo, finest):
+        seen.append((finest, shared(lpo, finest)))
+        return seen[-1][1]
+
+    with mock.patch.object(shadowing, "_trace_stages", spy):
+        try:
+            limit_shadow(sys, lpo, thresholds=thresholds)
+        except (DecayThresholdError, ScheduleError):
+            pass
+    if not seen:
+        return None
+    [(finest, traced)] = seen
+    assert traced == per_key_trace(lpo, finest)
+    return traced
+
+
+class TestSharedStagePass:
+    """The shared stage pass against one trace per stage key."""
+
+    @pytest.mark.parametrize("stages", range(8, 15))
+    @pytest.mark.parametrize("words", [("001", "01"), ("011", "0001")])
+    def test_switching_orbits(self, sys3, words, stages):
+        assert _shared_stage_pass(
+            sys3, switching_limit_orbit(*words, stages=stages),
+            tuple(dyadic(t) for t in range(1, 6)))
+
+    @pytest.mark.parametrize("half", [64, 128, 256, 512])
+    def test_drifting_halves(self, sys3, half):
+        ts = drifting_two_sided_orbit(half=half)
+        thresholds = tuple(dyadic(t) for t in range(1, 5))
+        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+            assert _shared_stage_pass(sys3, lpo, thresholds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text("01", min_size=1, max_size=4),
+           st.text("01", min_size=1, max_size=4), st.integers(8, 96),
+           st.integers(1, 5))
+    def test_drawn_drifting_halves(self, past, future, half, step):
+        ts = drifting_two_sided_orbit(past, future, half=half,
+                                      defect_step=step)
+        thresholds = tuple(dyadic(t) for t in range(1, 5))
+        sys3 = AugSystem(3, "standard", 50)
+        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+            _shared_stage_pass(sys3, lpo, thresholds)
+
+    def test_mixed_branches(self):
+        # one key traces in the base and three take the satellite's orbit
+        sys = AugSystem(3, "standard", 200)
+        lpo = _mixed_branch_orbit()
+        thresholds = tuple(dyadic(t) for t in range(1, 6))
+        traced = _shared_stage_pass(sys, lpo, thresholds)
+        assert [(s, m, type(y)) for (s, m, _), y in sorted(traced.items())] == [
+            (0, 49, BasePoint), (41, 97, ExtraPoint), (42, 193, ExtraPoint),
+            (43, 385, ExtraPoint)]
+        _same_limit_outcome(sys, lpo, thresholds)
 
 
 class TestLimitShadowing:

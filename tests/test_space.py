@@ -30,6 +30,7 @@ from nexpansive.space import (
     orbit_within,
     orbit_worst,
     project,
+    stages_within,
     tail_label,
 )
 from nexpansive.shadowing import PseudoOrbit, _mirror_limit_orbit
@@ -587,6 +588,81 @@ class TestOrbitWithin:
                                 Fraction(1, 4))
         assert orbit_within(y, run, Fraction(0))
         assert not orbit_within(y, off, Fraction(0))
+
+
+class TestStagesWithin:
+    """stages_within against, for each stage (start, eps, c), all(d <= eps)
+    over the brute distances of the point spelling c below start and y
+    from start on, from time start on."""
+
+    @staticmethod
+    def _agree(y, po, rng):
+        pts = po.points
+        starts = sorted(rng.sample(range(po.start, po.end + 1),
+                                   rng.randint(1, min(4, len(pts)))))
+        stages, want = [], True
+        for s in starts:
+            held = project(po.at(s)).shift(-s)
+            c = rng.choice([held, flip_symbol(held, s - rng.randint(1, 6)),
+                            project(y)])
+            w = BasePoint(assemble(c, s, "", s, project(y), 0))
+            dists = brute_orbit_dists(w, pts[s - po.start:], s)
+            # a residual of 0 (eps a tag 1/k, or 0) fails by contract
+            eps = rng.choice(sorted(
+                th for th in _bounds_around(dists, pts) if th > 0
+                and th not in {Fraction(1, p.k) for p in pts
+                               if isinstance(p, ExtraPoint)}))
+            stages.append((s, eps, c))
+            want = want and all(d <= eps for d in dists)
+        assert stages_within(y, po, stages) == want, (y, po.start, stages)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(0, 6), st.lists(st.integers(0, 39), max_size=3))
+    def test_hop_orbits(self, delta_exp, seed, length, back, picks):
+        rng = random.Random(seed)
+        sys3 = AugSystem(3, "standard", 64)
+        pts = hop_pseudo_orbit(sys3, rng, length=length,
+                               delta_exp=delta_exp).points
+        po = _any_po(pts, back)
+        ys = [y for y in _riders(pts, po.start, picks)
+              if isinstance(y, BasePoint)] + [
+            BasePoint(base_shadow(point_runs([project(p) for p in pts]),
+                                  delta_exp))]
+        for y in ys:
+            self._agree(y, po, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([("001", "0001"), ("01", "1"), ("0", "011")]),
+           st.integers(8, 40), st.integers(1, 5),
+           st.lists(st.integers(0, 80), max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_two_sided_windows(self, words, half, step, picks, seed):
+        rng = random.Random(seed)
+        po = drifting_two_sided_orbit(*words, half=half, defect_step=step)
+        for y in _riders(po.points, po.start, picks):
+            self._agree(y, po, rng)
+
+    def test_zero_residual_needs_equal_points(self):
+        # at eps = 1/k on the level-k satellite orbit only the orbit's own
+        # base point passes, so a left tail c that differs below the start
+        # fails though project(y) is that point
+        y = BasePoint(periodic_point(4))
+        po = PseudoOrbit([ExtraPoint(1, 4, t % 5) for t in range(12)], 4)
+        flipped = flip_symbol(y.seq, 3)
+        assert stages_within(y, po, [(5, Fraction(1, 4), y.seq)])
+        assert not stages_within(y, po, [(5, Fraction(1, 4), flipped)])
+        assert not stages_within(y, po, [(5, Fraction(1, 5), y.seq)])
+        assert all(aug_dist(aug_iterate(BasePoint(assemble(
+            flipped, 5, "", 5, y.seq, 0)), t), po.at(t)) > Fraction(1, 4)
+                   for t in range(5, 9))
+
+    def test_one_stage_is_orbit_within(self):
+        ts = drifting_two_sided_orbit(half=24)
+        y = BasePoint(project(ts.at(0)))
+        for eps in (Fraction(1, 2 ** e) for e in range(1, 12)):
+            assert (stages_within(y, ts, [(ts.start, eps, project(y))])
+                    == orbit_within(y, ts, eps))
 
 
 def test_worst_ties_across_tag_levels_go_to_the_first_time():
