@@ -643,19 +643,23 @@ class TestStagesWithin:
         for y in _riders(po.points, po.start, picks):
             self._agree(y, po, rng)
 
-    def test_zero_residual_needs_equal_points(self):
-        # at eps = 1/k on the level-k satellite orbit only the orbit's own
-        # base point passes, so a left tail c that differs below the start
-        # fails though project(y) is that point
+    def test_left_tail_and_residual_rules(self):
+        # on the level-k satellite orbit the residual of eps is eps - 1/k:
+        # above 0 a left tail c flipped below the start is read there;
+        # at 0 (radius -1) and below 0 (None) the stage fails, though y
+        # then rides the orbit's base points exactly
         y = BasePoint(periodic_point(4))
-        po = PseudoOrbit([ExtraPoint(1, 4, t % 5) for t in range(12)], 4)
+        po = PseudoOrbit([ExtraPoint(1, 4, t % 5) for t in range(9)]
+                         + [aug_iterate(y, t) for t in range(9, 12)], 4)
         flipped = flip_symbol(y.seq, 3)
-        assert stages_within(y, po, [(5, Fraction(1, 4), y.seq)])
-        assert not stages_within(y, po, [(5, Fraction(1, 4), flipped)])
-        assert not stages_within(y, po, [(5, Fraction(1, 5), y.seq)])
-        assert all(aug_dist(aug_iterate(BasePoint(assemble(
-            flipped, 5, "", 5, y.seq, 0)), t), po.at(t)) > Fraction(1, 4)
-                   for t in range(5, 9))
+        third = Fraction(1, 3)
+        assert stages_within(y, po, [(5, third, y.seq)])
+        assert not stages_within(y, po, [(5, third, flipped)])
+        assert any(aug_dist(aug_iterate(BasePoint(assemble(
+            flipped, 5, "", 5, y.seq, 0)), t), po.at(t)) > third
+                   for t in range(5, 12))
+        for eps in (Fraction(1, 4), Fraction(1, 5)):
+            assert not stages_within(y, po, [(5, eps, y.seq)])
 
     def test_one_stage_is_orbit_within(self):
         ts = drifting_two_sided_orbit(half=24)
