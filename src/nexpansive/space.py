@@ -293,11 +293,11 @@ def stages_within(y, po, stages):
     orbit_within) is None or -1.
 
     On a run, a stage with radius m > 0 reads the run's times from start
-    on widened by m - 1: from c below start, unless c is the run's z, and
-    from project(y) above. Those windows above start all hold the run's
-    last time, so their union is one window, read once from project(y)
-    (_sweep) and once from z; on a run past every start by the widest m,
-    it is that m's window alone.
+    on widened by m - 1: from c below start, unless c equals the run's z,
+    and from project(y) above. Those windows above start all hold the
+    run's last time, so their union is one window, read once from
+    project(y) (_sweep) and once from z; on a run past every start by the
+    widest m, it is that m's window alone.
     """
     runs, table, read = _sweep(y, po, [eps for _, eps, _ in stages], False)
     top = stages[-1][0]

@@ -8,9 +8,9 @@ Goldsmith, Aiken and Wilkerson, *Measuring empirical computational
 complexity*, FSE 2007).
 """
 
-import pytest
-
 from fractions import Fraction
+
+import pytest
 
 from nexpansive.base import BiSeq, dyadic, periodic_point, right_tails_agree
 from nexpansive.expansivity import dynamic_ball

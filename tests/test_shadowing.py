@@ -747,7 +747,7 @@ def _mixed_branch_orbit():
     """A prefix riding p(60) on the base for t < 40, then its satellite
     ExtraPoint(1, 60, .): the stage key (0, 49) traces in the base, and
     (41, 97), (42, 193) and (43, 385) take the satellite's orbit, since
-    their moduli sit below its level."""
+    its level 60 sits below their m."""
     p = periodic_point(60)
     pts = [BasePoint(p.shift(t)) if t < 40 else ExtraPoint(1, 60, t % 61)
            for t in range(100)]
@@ -813,9 +813,9 @@ class TestSharedStagePass:
         lpo = _mixed_branch_orbit()
         thresholds = tuple(dyadic(t) for t in range(1, 6))
         traced = _shared_stage_pass(sys, lpo, thresholds)
-        assert [(s, m, type(y)) for (s, m, _), y in sorted(traced.items())] == [
-            (0, 49, BasePoint), (41, 97, ExtraPoint), (42, 193, ExtraPoint),
-            (43, 385, ExtraPoint)]
+        assert {(s, m): type(y) for (s, m, _), y in traced.items()} == {
+            (0, 49): BasePoint, (41, 97): ExtraPoint, (42, 193): ExtraPoint,
+            (43, 385): ExtraPoint}
         _same_limit_outcome(sys, lpo, thresholds)
 
 
