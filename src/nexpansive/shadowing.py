@@ -367,38 +367,27 @@ def _check_thresholds(thresholds):
 def _trace_stages(lpo, finest):
     """{key: point at its start} for limit_shadow's stage keys (start, m,
     base_exp), listed by start: what shadow_pseudo_orbit traces for
-    lpo.tail(start, 1/m) at resolution finest[key], from one pass in lpo's
-    own time. A tail touching a satellite of level below m is one run of
-    it, traced by its own point. Every other key's point spells the runs'
-    carriers from its start on over the carrier of the run holding it: one
-    word under per-key left tails. Each run break is checked once, at the
-    widest base_exp of the keys covering it, and one sweep verifies every
-    key (space.stages_within).
+    lpo.tail(start, 1/m) at resolution finest[key], in one pass in lpo's
+    own time. A valid tail touching a satellite of level below m is one
+    run of it, the last (it lies over 1/m from every other point), traced
+    by its own point. The other keys' points are one base_shadow word from
+    the first such start, each over the carrier of the run holding its
+    start, verified in one sweep (space.stages_within).
     """
     runs, traced, stages = lpo.runs, {}, []
-    sats = [(b, x.k) for _, b, x in runs if isinstance(x, ExtraPoint)]
+    final = runs[-1][2]
     for key, res in finest.items():
         s, m, _ = key
-        i = bisect_right(runs, s, key=lambda run: run[0]) - 1
-        if not any(b >= s and k < m for b, k in sats):
+        if isinstance(final, ExtraPoint) and final.k < m:
+            traced[key] = aug_iterate(final, s)
+        else:
+            i = bisect_right(runs, s, key=lambda run: run[0]) - 1
             stages.append((key, res, project(runs[i][2])))
-        elif i == len(runs) - 1:
-            traced[key] = aug_iterate(runs[i][2], s)
-        else:  # pragma: no cover - a valid tail cannot leave the satellite
-            raise RuntimeError(f"tail from {s} leaves a satellite below 1/{m}")
     if not stages:
         return traced
-    s0, starts = stages[0][0][0], [key[0] for key, _, _ in stages]
-    carried = [(max(a, s0), b, project(x)) for a, b, x in runs if b >= s0]
-    for (_, t, z), (_, _, nxt) in zip(carried, carried[1:]):
-        # the last key from t back has the finest modulus, the widest e;
-        # the schedule behind it forbids a failure here
-        e = stages[bisect_right(starts, t) - 1][0][2]
-        if z.window(t + 1 - e, t + 2 + e) != nxt.window(t + 1 - e, t + 2 + e):
-            raise RuntimeError(  # pragma: no cover
-                f"run break at time {t} is not below 2**-{e}")
-    word = "".join(z.window(a, b + 1) for a, b, z in carried)
-    y = assemble(stages[0][2], s0, word, lpo.end + 1, carried[-1][2], 0)
+    (s0, _, e0), _, _ = stages[0]
+    y = base_shadow([(max(a, s0), b, project(x)) for a, b, x in runs
+                     if b >= s0], e0)
     # the modulus arithmetic forbids a failure here
     if not stages_within(BasePoint(y), lpo, [(key[0], res, c)
                                              for key, res, c in stages]):

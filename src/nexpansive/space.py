@@ -29,6 +29,7 @@ from fractions import Fraction
 from nexpansive.base import (
     BiSeq,
     agree_radius,
+    assemble,
     dyadic,
     _diff_bits,
     mismatch_radius,
@@ -264,40 +265,24 @@ def _sweep(y, po, bounds, strict):
 
 def orbit_within(y, po, eps):
     """True when aug_dist(aug_iterate(y, t), po.at(t)) <= eps at every
-    time t of the pseudo-orbit po.
-
-    Along a run (_carriers) an entry is at most eps exactly when
-    project(y) and z agree on |j - t| < m, m = residual_radius(eps, k, l,
-    False), read from the table of _sweep: None fails, 0 passes, -1 asks
-    for z == project(y). Otherwise the run's times widened by m - 1 on
-    each side are read once from project(y) (_sweep) and once from z.
-    """
-    seq = project(y)
-    runs, table, read = _sweep(y, po, (eps,), False)
-    if any(radii[0] is None for radii, _ in table.values()):
-        return False
-    for first, last, z, levels in runs:
-        [m], _ = table[levels]
-        lo_w, hi_w = first - m + 1, last + m
-        if (m < 0 and seq != z
-                or m > 0 and read(lo_w, hi_w) != z.window(lo_w, hi_w)):
-            return False
-    return True
+    time t of the pseudo-orbit po: stages_within with one stage."""
+    return stages_within(y, po, [(po.start, eps, project(y))])
 
 
 def stages_within(y, po, stages):
-    """orbit_within for several points in one sweep: True when, for each
-    stage (start, eps, c), listed by start, the point spelling c below
-    start and project(y) from start on is within eps of po.at(t) at every
-    time t >= start. A stage fails on a run where its radius (as in
-    orbit_within) is None or -1.
+    """True when, for each stage (start, eps, c), listed by start, y with
+    its projection spelling c below start (y itself for c = project(y))
+    is within eps of po.at(t) at every time t >= start: several points
+    verified in one sweep.
 
-    On a run, a stage with radius m > 0 reads the run's times from start
-    on widened by m - 1: from c below start, unless c equals the run's z,
-    and from project(y) above. Those windows above start all hold the
-    run's last time, so their union is one window, read once from
-    project(y) (_sweep) and once from z; on a run past every start by the
-    widest m, it is that m's window alone.
+    Along a run (_carriers) a stage passes exactly when its projection
+    and z agree on |j - t| < m, m = residual_radius(eps, k, l, False)
+    from the table of _sweep: None fails, 0 passes, -1 asks for equal
+    projections. For m > 0 it reads the run's times from start on widened
+    by m - 1, from c below start (unless c equals z) and from project(y)
+    above. Those windows above start all hold the run's last time, so
+    their union is one window, read once from project(y) (_sweep) and
+    once from z; past every start by the widest m, that m's window alone.
     """
     runs, table, read = _sweep(y, po, [eps for _, eps, _ in stages], False)
     top = stages[-1][0]
@@ -311,12 +296,13 @@ def stages_within(y, po, stages):
             for (s, _, c), m in zip(stages, radii):
                 if s > last:
                     break
-                if m is None or m < 0:
+                if m is None or m < 0 and z != assemble(c, s, "", s,
+                                                        project(y), 0):
                     return False
                 a = max(first, s) - m + 1
                 if a < s and c != z and c.window(a, s) != z.window(a, s):
                     return False
-                if m:
+                if m > 0:
                     lo, hi = min(lo, max(a, s)), max(hi, last + m)
         if read(lo, hi) != z.window(lo, hi):
             return False

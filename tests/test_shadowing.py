@@ -717,17 +717,17 @@ class TestStageSharing:
         # sweep at the key's finest resolution; no tail is traced alone
         lpo = switching_limit_orbit(stages=10)
         words, sweeps = [], []
-        spell, sweep = shadowing.assemble, shadowing.stages_within
+        spell, sweep = shadowing.base_shadow, shadowing.stages_within
 
-        def spy_spell(*args):
-            words.append(args[2])
-            return spell(*args)
+        def spy_spell(runs, delta_exp):
+            words.append((runs[0][0], runs[-1][1]))
+            return spell(runs, delta_exp)
 
         def spy_sweep(y, po, stages):
             sweeps.append([(s, eps) for s, eps, _ in stages])
             return sweep(y, po, stages)
 
-        monkeypatch.setattr(shadowing, "assemble", spy_spell)
+        monkeypatch.setattr(shadowing, "base_shadow", spy_spell)
         monkeypatch.setattr(shadowing, "stages_within", spy_sweep)
         monkeypatch.setattr(shadowing, "shadow_pseudo_orbit", lambda *args: (
             pytest.fail("a stage key was traced on its own")))
@@ -738,8 +738,7 @@ class TestStageSharing:
             finest[key] = min(finest.get(key, stage.resolution),
                               stage.resolution)
         assert len(report.stages) == 8 and len(finest) == 4
-        [word] = [w for w in words if w]
-        assert len(word) == lpo.end + 1 - report.stages[0].start_index
+        assert words == [(report.stages[0].start_index, lpo.end)]
         assert sweeps == [[(s, eps) for (s, _), eps in finest.items()]]
 
 

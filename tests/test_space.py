@@ -607,11 +607,7 @@ class TestStagesWithin:
                             project(y)])
             w = BasePoint(assemble(c, s, "", s, project(y), 0))
             dists = brute_orbit_dists(w, pts[s - po.start:], s)
-            # a residual of 0 (eps a tag 1/k, or 0) fails by contract
-            eps = rng.choice(sorted(
-                th for th in _bounds_around(dists, pts) if th > 0
-                and th not in {Fraction(1, p.k) for p in pts
-                               if isinstance(p, ExtraPoint)}))
+            eps = rng.choice(sorted(_bounds_around(dists, pts)))
             stages.append((s, eps, c))
             want = want and all(d <= eps for d in dists)
         assert stages_within(y, po, stages) == want, (y, po.start, stages)
@@ -645,9 +641,9 @@ class TestStagesWithin:
 
     def test_left_tail_and_residual_rules(self):
         # on the level-k satellite orbit the residual of eps is eps - 1/k:
-        # above 0 a left tail c flipped below the start is read there;
-        # at 0 (radius -1) and below 0 (None) the stage fails, though y
-        # then rides the orbit's base points exactly
+        # above 0 a left tail c flipped below the start is read there; at
+        # 0 (radius -1) the stage's whole projection must be the orbit's,
+        # so only the unflipped tail passes; below 0 (None) it fails
         y = BasePoint(periodic_point(4))
         po = PseudoOrbit([ExtraPoint(1, 4, t % 5) for t in range(9)]
                          + [aug_iterate(y, t) for t in range(9, 12)], 4)
@@ -658,8 +654,10 @@ class TestStagesWithin:
         assert any(aug_dist(aug_iterate(BasePoint(assemble(
             flipped, 5, "", 5, y.seq, 0)), t), po.at(t)) > third
                    for t in range(5, 12))
-        for eps in (Fraction(1, 4), Fraction(1, 5)):
-            assert not stages_within(y, po, [(5, eps, y.seq)])
+        quarter = Fraction(1, 4)
+        assert stages_within(y, po, [(5, quarter, y.seq)])
+        assert not stages_within(y, po, [(5, quarter, flipped)])
+        assert not stages_within(y, po, [(5, Fraction(1, 5), y.seq)])
 
     def test_one_stage_is_orbit_within(self):
         ts = drifting_two_sided_orbit(half=24)
