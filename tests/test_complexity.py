@@ -71,8 +71,8 @@ def test_limit_trace_grows_linearly_in_the_prefix(monkeypatch):
     # The stage keys share one spelled word and one verifying sweep, and
     # the candidates' decays read one window per run, so the symbols grow
     # with the prefix: 2x per doubling of the points (2**stages), plus 10%
-    # for the windows that widen with the schedule's finer entries: 11,033
-    # -> 23,464 -> 45,889 symbols over these stages. One trace per stage
+    # for the windows that widen with the schedule's finer entries: 10,945
+    # -> 23,284 -> 45,613 symbols over these stages. One trace per stage
     # key (a re-based tail, a spelled word and a sweep each) read 11,762
     # -> 26,890 -> 54,082, 2.29x at the first doubling.
     system = AugSystem(3, "standard", 50)
