@@ -3,9 +3,10 @@
 Times limit_shadow on switching_limit_orbit(stages=s), whose prefix has
 2**s points, and two_sided_limit_shadow on drifting_two_sided_orbit(half=h),
 whose window has 2h + 1 points, with the thresholds the CLI uses by
-default. Building the pseudo-orbit (and validating its jumps) is not
-timed. Each case also counts the BiSeq.window calls and the symbols they
-build in one extra, untimed run; those counts do not depend on the machine.
+default. Building the pseudo-orbit (and validating its jumps) is timed
+apart, as build_s beside the trace's median_s. Each case also counts the
+BiSeq.window calls and the symbols they build in one extra, untimed trace;
+those counts do not depend on the machine.
 
     python3 bench/tracing_scaling.py BENCH.json
     python3 bench/tracing_scaling.py new.json --against old.json
@@ -16,11 +17,12 @@ stage flag or candidate list shows even when the decays agree.
 
 --against embeds an earlier report of this script (for example one made
 on a checkout of the parent commit) under "against" and prints its median
-and window count beside each case. A case whose decay summary differs
-from the earlier one's is marked "decay differs", and one whose result
-digest differs is marked "report differs" (an earlier report without
-digests is not compared that way); either makes the script exit 1 after
-writing its report. Times are medians over RUNS runs, in seconds.
+and window count beside each case, and its build median when it has one.
+A case whose decay summary differs from the earlier one's is marked "decay
+differs", and one whose result digest differs is marked "report differs"
+(an earlier report without digests is not compared that way); either makes
+the script exit 1 after writing its report. Times are medians over RUNS
+runs, in seconds.
 """
 
 import argparse
@@ -47,30 +49,38 @@ TWO_SIDED_THRESHOLDS = tuple(dyadic(t) for t in range(1, 5))
 
 
 def limit_case(stages):
-    lpo = switching_limit_orbit(stages=stages)
-    return (f"limit_shadow stages={stages}", lpo.end - lpo.start + 1,
-            lambda: limit_shadow(SYSTEM, lpo, thresholds=LIMIT_THRESHOLDS),
+    return (f"limit_shadow stages={stages}",
+            lambda: switching_limit_orbit(stages=stages),
+            lambda lpo: limit_shadow(SYSTEM, lpo, thresholds=LIMIT_THRESHOLDS),
             lambda r: [str(i) for _, i in r.decay])
 
 
 def two_sided_case(half):
-    tslpo = drifting_two_sided_orbit(half=half)
     return (f"two_sided_limit_shadow half={half}",
-            tslpo.end - tslpo.start + 1,
-            lambda: two_sided_limit_shadow(SYSTEM, tslpo,
-                                           thresholds=TWO_SIDED_THRESHOLDS),
+            lambda: drifting_two_sided_orbit(half=half),
+            lambda tslpo: two_sided_limit_shadow(
+                SYSTEM, tslpo, thresholds=TWO_SIDED_THRESHOLDS),
             lambda r: [[str(i) for _, i in r.past_decay],
                        [str(i) for _, i in r.future_decay]])
 
 
-def measure(name, points, call, summary):
+def timed(call, *args):
+    """(last result, RUNS times) of RUNS calls."""
     times = []
     for _ in range(RUNS):
         t = time.perf_counter()
-        result = call()
+        result = call(*args)
         times.append(time.perf_counter() - t)
-    calls, symbols = window_counts(call)
-    return {"case": name, "points": points,
+    return result, times
+
+
+def measure(name, build, trace, summary):
+    po, build_times = timed(build)
+    result, times = timed(trace, po)
+    calls, symbols = window_counts(lambda: trace(po))
+    return {"case": name, "points": po.end - po.start + 1,
+            "build_s": statistics.median(build_times),
+            "build_times_s": build_times,
             "median_s": statistics.median(times), "runs": RUNS,
             "times_s": times, "window_calls": calls,
             "window_symbols": symbols, "decay": summary(result),
@@ -96,12 +106,15 @@ def main():
         c = measure(*case)
         report["cases"].append(c)
         line = (f"{c['case']:<36} {c['median_s']:8.3f} s  "
+                f"build {c['build_s']:7.3f} s  "
                 f"{c['window_calls']:>9} windows  "
                 f"{c['window_symbols']:>11} symbols")
         old = before.get(c["case"])
         if old:
             line += (f"  was {old['median_s']:.3f} s, "
                      f"{old['window_calls']} windows")
+            if "build_s" in old:
+                line += f", build {old['build_s']:.3f} s"
             if old["decay"] != c["decay"]:
                 line += "  decay differs"
                 differs = True

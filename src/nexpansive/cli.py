@@ -52,11 +52,13 @@ from nexpansive.codec import encode
 
 
 # Upper limits of the tracing sizes. At each limit, with the other flags at
-# their defaults, one run took 0.2-2.2 s and at most 62 MiB on a 2-vCPU
-# Xeon, which stays under 10 s in that host's 1.6x slow spells.
+# their defaults, one run took 0.3-2.2 s and at most 60 MiB on a 2-vCPU
+# Xeon, which stays under 10 s in that host's 1.6x slow spells. Above 20
+# stages the limit-shadow report (the traced point's core, about 2**(s+1)
+# symbols) passes 4 MB and doubles per stage.
 MAX_DELTA_EXP = 16
 MAX_LENGTH = 8000
-MAX_STAGES = 15
+MAX_STAGES = 20
 # Below 8 stages the switching schedule supports fewer than the three
 # stages limit_shadow needs, whatever the words.
 MIN_STAGES = 8

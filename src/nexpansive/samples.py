@@ -23,6 +23,7 @@ from nexpansive.base import (
 from nexpansive.space import (
     BasePoint,
     ExtraPoint,
+    aug_iterate,
     aug_map,
     canonical_key,
     dist_below,
@@ -117,10 +118,13 @@ def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
         k = rng.randint(level_lo, level_lo + 24)
         return k, rng.randint(0, k)
 
+    # a step that follows the map extends the current run; a modified step
+    # starts one, with the new point pulled back to time 0
     k, j = fresh_level()
-    pts = [BasePoint(periodic_point(k).shift(j))]
-    while len(pts) < length:
-        nxt = aug_map(pts[-1])
+    point = BasePoint(periodic_point(k).shift(j))
+    runs = [[0, 0, point]]
+    for t in range(1, length):
+        nxt = followed = aug_map(point)
         roll = rng.random()
         if isinstance(nxt, ExtraPoint):
             if roll < 0.25:
@@ -142,11 +146,17 @@ def hop_pseudo_orbit(sys, rng, length=100, delta_exp=6):
                 cut = delta_exp + 1
                 nxt = BasePoint(assemble(nxt.seq, cut, "", cut, target, 0))
             elif roll < 0.6 and label is None:
-                tail = BiSeq(nxt.seq.right, "", nxt.seq.right, nxt.seq.core_end)
-                if dist_below(BasePoint(tail), nxt, bound):
-                    nxt = BasePoint(tail)
-        pts.append(nxt)
-    return PseudoOrbit(tuple(pts[:length]), bound)
+                # a canonical right period is primitive: no reduction
+                r = nxt.seq.right
+                tail = BasePoint(BiSeq._trusted(r, "", r, nxt.seq.core_end))
+                if dist_below(tail, nxt, bound):
+                    nxt = tail
+        if nxt is followed:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t, aug_iterate(nxt, -t)])
+        point = nxt
+    return PseudoOrbit.from_runs(bound, runs[:length])
 
 
 def piecewise_periodic(boundaries, seqs):
@@ -176,32 +186,29 @@ def switching_limit_orbit(word_a="001", word_b="01", stages=10):
     additionally carry a periodic sprinkling of symbol defects at depth
     s + 3, making the true jumps there of order 2**-(s + 2), strictly
     inside the scheduled bound 2**-s at index 2**s. The prefix has length
-    2**stages.
+    2**stages. It is built run by run: per region its carrier, and from
+    region 2 on at most four one-point defect runs.
     """
     a, b = BiSeq(word_a), BiSeq(word_b)
     if a == b:
         raise ValueError("patterns must differ")
-    horizon = stages + 2
-    cuts = [2 ** s for s in range(1, horizon + 1)]
-    pats = [a if i % 2 == 0 else b for i in range(horizon + 1)]
-    carriers = {}
-
-    def carrier(region):
-        if region not in carriers:
-            upto = min(region + 2, horizon)
-            carriers[region] = piecewise_periodic(cuts[:upto], pats[:upto + 1])
-        return carriers[region]
-
-    length = 2 ** stages
-    pts = []
-    for t in range(length):
-        s = max(t.bit_length() - 1, 0)  # region s: 2**s <= t < 2**(s+1)
-        point = carrier(s).shift(t)
-        if s >= 2 and (t - 2 ** s) % max(4, 2 ** (s - 2)) == 0:
-            point = flip_symbol(point, s + 3)
-        pts.append(BasePoint(point))
+    cuts = [2 ** s for s in range(1, stages + 2)]
+    pats = [a if i % 2 == 0 else b for i in range(stages + 2)]
+    runs = []
+    for s in range(stages):
+        # region s rides the carrier spelling the regions up to s + 2
+        carrier = piecewise_periodic(cuts[:s + 2], pats[:s + 3])
+        lo, hi = (2 ** s if s else 0), 2 ** (s + 1)
+        if s < 2:
+            runs.append((lo, hi - 1, BasePoint(carrier)))
+            continue
+        step = max(4, 2 ** (s - 2))
+        for t in range(lo, hi, step):
+            defect = flip_symbol(carrier.shift(t), s + 3).shift(-t)
+            runs.append((t, t, BasePoint(defect)))
+            runs.append((t + 1, t + step - 1, BasePoint(carrier)))
     schedule = tuple((2 ** s, dyadic(s)) for s in range(1, stages))
-    return PseudoOrbit(pts, schedule)
+    return PseudoOrbit.from_runs(schedule, runs)
 
 
 def drifting_two_sided_orbit(past_word="001", future_word="0001", half=512,
@@ -212,22 +219,31 @@ def drifting_two_sided_orbit(past_word="001", future_word="0001", half=512,
     pattern up to time zero and the future pattern afterwards, so its own
     jumps vanish. On top of that, every defect_step-th time |t| >= 8 gets
     a symbol flip at depth |t|//2 + 2 away from the orbit position, making
-    the jumps genuinely nonzero, of size about 2**-(|t|//2).
+    the jumps genuinely nonzero, of size about 2**-(|t|//2). It is built
+    run by run: backbone runs between one-point defect runs.
     """
-    past = BiSeq(past_word)
-    future = BiSeq(future_word)
-    backbone = piecewise_periodic([0], [past, future])
-    pts = []
-    for t in range(-half, half + 1):
-        point = backbone.shift(t)
-        if abs(t) >= 8 and t % defect_step == 0:
-            depth = abs(t) // 2 + 2
-            point = flip_symbol(point, depth if t > 0 else -depth)
-        pts.append(BasePoint(point))
+    if defect_step < 1:
+        raise ValueError("defect_step must be positive")
+    backbone = piecewise_periodic([0], [BiSeq(past_word), BiSeq(future_word)])
+    runs, first = [], -half
+    # the multiples of defect_step in the window, from the lowest up
+    for t in range(-(half // defect_step) * defect_step, half + 1,
+                   defect_step):
+        if abs(t) < 8:
+            continue
+        depth = abs(t) // 2 + 2
+        defect = flip_symbol(backbone.shift(t),
+                             depth if t > 0 else -depth).shift(-t)
+        if first < t:
+            runs.append((first, t - 1, BasePoint(backbone)))
+        runs.append((t, t, BasePoint(defect)))
+        first = t + 1
+    if first <= half:
+        runs.append((first, half, BasePoint(backbone)))
     schedule = [(0, Fraction(1, 2))]
     k, bound = 8, Fraction(1, 8)
     while bound > dyadic(half // 2 + 2) and k <= half - 2:
         schedule.append((k, bound))
         k += 8
         bound /= 4
-    return PseudoOrbit(pts, schedule, -half)
+    return PseudoOrbit.from_runs(schedule, runs)

@@ -125,8 +125,9 @@ class PseudoOrbit:
     at time t of the run being aug_iterate(x, t). Every run break the
     schedule covers is checked against the tightest entry covering its
     time, on the window that entry's bound fixes (space.dist_below); the
-    exact jump appears only in the error message. tail() and the past
-    mirror are the unchecked derivations (_derived).
+    exact jump appears only in the error message. from_runs takes the runs
+    themselves through the same check; tail() and the past mirror are the
+    unchecked derivations (_derived).
     """
 
     schedule: tuple
@@ -136,11 +137,21 @@ class PseudoOrbit:
         self._settle(schedule, ((t, t, aug_iterate(p, -t))
                                 for t, p in enumerate(points, start)))
 
+    @classmethod
+    def from_runs(cls, schedule, runs):
+        """The pseudo-orbit of runs (first, last, x) that follow each other
+        in time, x the run's point at time 0: what the constructor makes
+        of their points, at a cost per run rather than per point."""
+        return object.__new__(cls)._settle(schedule, runs)
+
     def _settle(self, schedule, runs):
         """Merge neighbours with equal x, then check and store the runs."""
         schedule = _normalize_schedule(schedule)
         merged = []
         for first, last, x in runs:
+            if first > last or merged and first != merged[-1][1] + 1:
+                raise ValueError(f"run {first}..{last} is empty or does "
+                                 "not follow the run before it")
             if merged and merged[-1][2] == x:
                 merged[-1][1] = last
             else:
@@ -538,11 +549,17 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
     traced by that orbit directly; tails in distinct satellite orbits
     cannot be glued below their isolation distance and raise. Thresholds
     must be positive.
+
+    The future half is the runs from time 0 on, under the same schedule,
+    unchecked (_derived): an entry covers a break after time t >= 0 in the
+    half exactly when it does in tslpo, where it was checked, and a slice
+    of maximal runs stays maximal, so no run is re-based or rechecked.
     """
     _check_thresholds(thresholds)
     past_half = _mirror_limit_orbit(tslpo)
     past_report = _trace_half(sys, past_half, thresholds, "past")
-    future_half = tslpo.tail(0, tslpo.schedule)
+    future_half = PseudoOrbit._derived(tslpo.schedule, [
+        (max(a, 0), b, x) for a, b, x in tslpo.runs if b >= 0])
     future_report = _trace_half(sys, future_half, thresholds, "future")
     p1 = mirror_point(past_report.point)
     p2 = future_report.point
@@ -577,7 +594,7 @@ def two_sided_limit_shadow(sys, tslpo, thresholds=(HALF, HALF ** 2, HALF ** 3,
         z = shadow_specification(
             [((-junction, -junction), aug_iterate(p1, -junction)),
              ((junction, junction), aug_iterate(p2, junction))], glue_eps)
-        glued = object.__new__(PseudoOrbit)._settle(delta, [
+        glued = PseudoOrbit.from_runs(delta, [
             (tslpo.start, -junction - 1, p1), (-junction, junction, z),
             (junction + 1, tslpo.end, p2)])
         final = shadow_pseudo_orbit(glued, eps)

@@ -2,16 +2,19 @@
 
 Nothing here reuses the library's mismatch search, supremum shortcuts or
 component algorithms; everything is computed from first principles (symbol
-scans, windowed maxima, boolean closure), at small scale. The one
-exception, per_key_trace, is the library's own earlier tracing path, kept
-as the reference of the path that replaced it.
+scans, windowed maxima, boolean closure), at small scale. The exceptions
+are the library's own earlier paths, kept as references of the paths that
+replaced them: per_key_trace, and the three per-point generators
+per_point_hop, per_point_switching and per_point_drifting.
 """
 
 import math
 from fractions import Fraction
 
-from nexpansive.base import BiSeq, assemble, base_dist
+from nexpansive.base import (BiSeq, assemble, base_dist, dyadic, flip_symbol,
+                             periodic_point)
 from nexpansive.chains import ChainGraph
+from nexpansive.samples import piecewise_periodic
 from nexpansive.space import (
     BasePoint,
     ExtraPoint,
@@ -19,6 +22,8 @@ from nexpansive.space import (
     aug_iterate,
     aug_map,
     canonical_key,
+    dist_below,
+    orbit_label,
     project,
 )
 from nexpansive.shadowing import shadow_pseudo_orbit
@@ -353,6 +358,7 @@ def brute_runs(points, start):
             runs.append([origin, t, t])
     return [(first, last) for _, first, last in runs]
 
+
 def loop_chain_depth(eps):
     """The least integer depth >= -1 with 2**-(depth + 1) < eps, by search
     (the cylinder depth of the chain graph)."""
@@ -389,3 +395,94 @@ def per_key_trace(lpo, finest):
     return {key: shadow_pseudo_orbit(lpo.tail(key[0], Fraction(1, key[1])),
                                      res)
             for key, res in finest.items()}
+
+
+# The per-point generators: each returns (points, schedule, start), the
+# arguments it handed to PseudoOrbit before the samples generators emitted
+# runs, drawing the same random numbers in the same order.
+
+def per_point_hop(sys, rng, length=100, delta_exp=6):
+    """samples.hop_pseudo_orbit built one point per step."""
+    bound = dyadic(delta_exp)
+    level_lo = 2 ** delta_exp + 1
+
+    def fresh_level():
+        k = rng.randint(level_lo, level_lo + 24)
+        return k, rng.randint(0, k)
+
+    k, j = fresh_level()
+    pts = [BasePoint(periodic_point(k).shift(j))]
+    while len(pts) < length:
+        nxt = aug_map(pts[-1])
+        roll = rng.random()
+        if isinstance(nxt, ExtraPoint):
+            if roll < 0.25:
+                nxt = BasePoint(project(nxt))
+        else:
+            label = orbit_label(nxt.seq)
+            can_board = (label is not None and label[0] >= level_lo
+                         and sys.multiplicity(label[0]) >= 1)
+            if roll < 0.15 and can_board:
+                k2, j2 = label
+                nxt = ExtraPoint(rng.randint(1, sys.multiplicity(k2)), k2, j2)
+            elif roll < 0.35:
+                depth = delta_exp + 1 + rng.randint(0, 4)
+                pos = depth if rng.random() < 0.5 else -depth
+                nxt = BasePoint(flip_symbol(nxt.seq, pos))
+            elif roll < 0.5:
+                k2, j2 = fresh_level()
+                target = periodic_point(k2).shift(j2)
+                cut = delta_exp + 1
+                nxt = BasePoint(assemble(nxt.seq, cut, "", cut, target, 0))
+            elif roll < 0.6 and label is None:
+                tail = BiSeq(nxt.seq.right, "", nxt.seq.right, nxt.seq.core_end)
+                if dist_below(BasePoint(tail), nxt, bound):
+                    nxt = BasePoint(tail)
+        pts.append(nxt)
+    return pts[:length], bound, 0
+
+
+def per_point_switching(word_a="001", word_b="01", stages=10):
+    """samples.switching_limit_orbit built one point per time."""
+    a, b = BiSeq(word_a), BiSeq(word_b)
+    if a == b:
+        raise ValueError("patterns must differ")
+    horizon = stages + 2
+    cuts = [2 ** s for s in range(1, horizon + 1)]
+    pats = [a if i % 2 == 0 else b for i in range(horizon + 1)]
+    carriers = {}
+
+    def carrier(region):
+        if region not in carriers:
+            upto = min(region + 2, horizon)
+            carriers[region] = piecewise_periodic(cuts[:upto], pats[:upto + 1])
+        return carriers[region]
+
+    pts = []
+    for t in range(2 ** stages):
+        s = max(t.bit_length() - 1, 0)  # region s: 2**s <= t < 2**(s+1)
+        point = carrier(s).shift(t)
+        if s >= 2 and (t - 2 ** s) % max(4, 2 ** (s - 2)) == 0:
+            point = flip_symbol(point, s + 3)
+        pts.append(BasePoint(point))
+    return pts, tuple((2 ** s, dyadic(s)) for s in range(1, stages)), 0
+
+
+def per_point_drifting(past_word="001", future_word="0001", half=512,
+                       defect_step=4):
+    """samples.drifting_two_sided_orbit built one point per time."""
+    backbone = piecewise_periodic([0], [BiSeq(past_word), BiSeq(future_word)])
+    pts = []
+    for t in range(-half, half + 1):
+        point = backbone.shift(t)
+        if abs(t) >= 8 and t % defect_step == 0:
+            depth = abs(t) // 2 + 2
+            point = flip_symbol(point, depth if t > 0 else -depth)
+        pts.append(BasePoint(point))
+    schedule = [(0, Fraction(1, 2))]
+    k, bound = 8, Fraction(1, 8)
+    while bound > dyadic(half // 2 + 2) and k <= half - 2:
+        schedule.append((k, bound))
+        k += 8
+        bound /= 4
+    return pts, schedule, -half

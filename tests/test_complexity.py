@@ -1,17 +1,19 @@
 """Complexity gates read off deterministic operation counts.
 
 The count is the number of symbols BiSeq.window builds during one call,
-which does not depend on the machine. A gate asserts how that count grows
-with the input, so a per-index or quadratic path that comes back fails
-here even while every result stays right (growth measured as in
-Goldsmith, Aiken and Wilkerson, *Measuring empirical computational
-complexity*, FSE 2007).
+or the number of points one call moves along an orbit; neither depends on
+the machine. A gate asserts how that count grows with the input, so a
+per-index or quadratic path that comes back fails here even while every
+result stays right (growth measured as in Goldsmith, Aiken and
+Wilkerson, *Measuring empirical computational complexity*, FSE 2007).
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from nexpansive import space
 from nexpansive.base import BiSeq, dyadic, periodic_point, right_tails_agree
 from nexpansive.expansivity import dynamic_ball
 from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
@@ -34,6 +36,46 @@ def window_symbols(monkeypatch, call):
         m.setattr(BiSeq, "window", counted)
         result = call()
     return result, symbols
+
+
+def orbit_moves(monkeypatch, call):
+    """(result, moves) of one call(), counting the calls of BiSeq.shift and
+    of space.aug_iterate under every name the package binds it to."""
+    moves = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal moves
+            moves += 1
+            return fn(*args)
+        return wrapper
+
+    plain = space.aug_iterate
+    with monkeypatch.context() as m:
+        m.setattr(BiSeq, "shift", counted(BiSeq.shift))
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("nexpansive")
+                    and getattr(module, "aug_iterate", None) is plain):
+                m.setattr(module, "aug_iterate", counted(plain))
+        result = call()
+    return result, moves
+
+
+def test_switching_orbit_builds_per_run(monkeypatch):
+    # The generator emits per region its carrier and at most four one-point
+    # defect runs, each pulled back to time 0 by two shifts, and the
+    # constructor checks the run breaks on windows; so the points moved
+    # grow by one region's four defects per stage: 46 -> 54 -> 62. Building
+    # every point and pulling it back moves about three per point: 1,536
+    # -> 3,072 -> 6,144, 2x per stage.
+    counts = []
+    for stages in (9, 10, 11):
+        _, moves = orbit_moves(monkeypatch,
+                               lambda: switching_limit_orbit(stages=stages))
+        counts.append(moves)
+    assert counts[0] > 0
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 1.5 * small, counts
 
 
 def test_two_sided_trace_grows_linearly_in_the_half(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexpansive import samples, shadowing
+from nexpansive import shadowing
 from nexpansive.base import (BiSeq, base_shadow, dyadic, flip_symbol,
                              periodic_point)
 from nexpansive.space import (
@@ -55,7 +55,8 @@ from nexpansive.samples import (
 )
 from oracles import (brute_decay_index, brute_left_tails_agree,
                      brute_orbit_dists, brute_runs, brute_schedule_ok,
-                     per_key_trace, point_runs)
+                     per_key_trace, per_point_drifting, per_point_hop,
+                     per_point_switching, point_runs)
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -199,18 +200,10 @@ class TestPseudoOrbitTypes:
                 shadow_specification(segments, Fraction(2))
 
 
-def _generator_input(build, *args, **kwargs):
-    """(points, schedule, start) as a samples generator hands them to
-    PseudoOrbit: the per-point form, before any run is formed."""
-    with mock.patch.object(samples, "PseudoOrbit",
-                           lambda pts, schedule, start=0:
-                           (list(pts), schedule, start)):
-        return build(*args, **kwargs)
-
-
 def _sample_points(data):
     """(kind, points, schedule, start) for a hop, switching, drifting or
-    mirrored drifting pseudo-orbit of small size, the points of a mirrored
+    mirrored drifting pseudo-orbit of small size, as the per-point
+    generators (oracles.per_point_*) build them, the points of a mirrored
     one being the drifting orbit's; a hop orbit may be moved to start
     below zero."""
     kind = data.draw(st.sampled_from(["hop", "switching", "drifting",
@@ -218,16 +211,15 @@ def _sample_points(data):
     if kind == "hop":
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         sys3 = AugSystem(3, "standard", 64)
-        pts, bound, _ = _generator_input(
-            hop_pseudo_orbit, sys3, rng, length=data.draw(st.integers(1, 40)),
+        pts, bound, _ = per_point_hop(
+            sys3, rng, length=data.draw(st.integers(1, 40)),
             delta_exp=data.draw(st.integers(2, 8)))
         return kind, pts, bound, -data.draw(st.integers(0, len(pts) - 1))
     if kind == "switching":
         words = data.draw(st.sampled_from([("001", "01"), ("0", "1")]))
-        return (kind, *_generator_input(switching_limit_orbit, *words,
-                                      stages=data.draw(st.integers(3, 7))))
-    return (kind, *_generator_input(
-        drifting_two_sided_orbit,
+        return (kind, *per_point_switching(
+            *words, stages=data.draw(st.integers(3, 7))))
+    return (kind, *per_point_drifting(
         *data.draw(st.sampled_from([("001", "0001"), ("01", "1")])),
         half=data.draw(st.integers(8, 40)),
         defect_step=data.draw(st.integers(1, 5))))
@@ -301,11 +293,11 @@ class TestRunTable:
     def test_mirror_equals_the_checked_mirror(self, past, future, half,
                                               step):
         # _mirror_limit_orbit stores its runs unchecked on the strength of
-        # the conjugacy; the checked path, _settle under the doubled
+        # the conjugacy; the checked path, from_runs under the doubled
         # schedule, must accept the same runs and store them unchanged
         ts = drifting_two_sided_orbit(past, future, half=half,
                                       defect_step=step)
-        checked = object.__new__(PseudoOrbit)._settle(
+        checked = PseudoOrbit.from_runs(
             [(k, 2 * b) for k, b in ts.schedule],
             [(-min(b, 0), -a, mirror_point(x))
              for a, b, x in reversed(ts.runs) if a <= 0])
