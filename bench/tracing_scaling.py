@@ -1,12 +1,16 @@
-"""Scaling of the limit tracers with the length of the traced prefix.
+"""Scaling of the tracers with the length of the traced pseudo-orbit.
 
 Times limit_shadow on switching_limit_orbit(stages=s), whose prefix has
 2**s points, and two_sided_limit_shadow on drifting_two_sided_orbit(half=h),
 whose window has 2h + 1 points, with the thresholds the CLI uses by
-default. Building the pseudo-orbit (and validating its jumps) is timed
-apart, as build_s beside the trace's median_s. Each case also counts the
-BiSeq.window calls and the symbols they build in one extra, untimed trace;
-those counts do not depend on the machine.
+default; and shadow_pseudo_orbit at eps 1/4 on hop_pseudo_orbit(length=L,
+delta_exp=8), seeded 7, checked by verify_shadow: its result is the traced
+point and the check, and its summary the check's verdict and worst
+distance in place of the decays. Building the pseudo-orbit (and
+validating its jumps) is timed apart, as build_s beside the trace's
+median_s. Each case also counts the BiSeq.window calls and the symbols
+they build in one extra, untimed trace; those counts do not depend on
+the machine.
 
     python3 bench/tracing_scaling.py BENCH.json
     python3 bench/tracing_scaling.py new.json --against old.json
@@ -28,20 +32,26 @@ runs, in seconds.
 import argparse
 import hashlib
 import json
+import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from common import header, window_counts  # also puts src/ on sys.path
 from nexpansive.base import dyadic
 from nexpansive.codec import encode
-from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
-from nexpansive.shadowing import limit_shadow, two_sided_limit_shadow
+from nexpansive.samples import (drifting_two_sided_orbit, hop_pseudo_orbit,
+                                switching_limit_orbit)
+from nexpansive.shadowing import (limit_shadow, shadow_pseudo_orbit,
+                                  two_sided_limit_shadow, verify_shadow)
 from nexpansive.space import AugSystem
 
 STAGES = (10, 11, 12, 13, 14, 15)
 HALVES = (512, 1024, 2048, 8192)
+LENGTHS = (1000, 2000, 4000, 8000)
+HOP_EPS = Fraction(1, 4)
 RUNS = 3
 SYSTEM = AugSystem(3, "standard", 50)
 LIMIT_THRESHOLDS = tuple(dyadic(t) for t in range(1, 6))
@@ -62,6 +72,19 @@ def two_sided_case(half):
                 SYSTEM, tslpo, thresholds=TWO_SIDED_THRESHOLDS),
             lambda r: [[str(i) for _, i in r.past_decay],
                        [str(i) for _, i in r.future_decay]])
+
+
+def traced_and_checked(po):
+    y = shadow_pseudo_orbit(po, HOP_EPS)
+    return y, verify_shadow(po, y, HOP_EPS)
+
+
+def hop_case(length):
+    return (f"shadow_pseudo_orbit hop length={length}",
+            lambda: hop_pseudo_orbit(SYSTEM, random.Random(7), length=length,
+                                     delta_exp=8),
+            traced_and_checked,
+            lambda r: [r[1].ok, str(r[1].worst_dist)])
 
 
 def timed(call, *args):
@@ -95,7 +118,8 @@ def main():
                         help="earlier report to embed and compare with")
     args = parser.parse_args()
     cases = ([limit_case(s) for s in STAGES]
-             + [two_sided_case(h) for h in HALVES])
+             + [two_sided_case(h) for h in HALVES]
+             + [hop_case(n) for n in LENGTHS])
     report = {**header("tracing_scaling"), "cases": []}
     before = {}
     differs = False

@@ -31,7 +31,6 @@ from nexpansive.space import (
     dist_below,
     failure_times,
     mirror_point,
-    orbit_within,
     orbit_worst,
     project,
     stages_within,
@@ -126,8 +125,8 @@ class PseudoOrbit:
     schedule covers is checked against the tightest entry covering its
     time, on the window that entry's bound fixes (space.dist_below); the
     exact jump appears only in the error message. from_runs takes the runs
-    themselves through the same check; tail() and the past mirror are the
-    unchecked derivations (_derived).
+    themselves through the same check; the two halves of a two-sided trace
+    are the unchecked derivations (_derived).
     """
 
     schedule: tuple
@@ -185,30 +184,6 @@ class PseudoOrbit:
         unchecked, as derived from a checked pseudo-orbit."""
         return object.__new__(cls)._store(schedule, runs)
 
-    def tail(self, k, schedule):
-        """The points from time k on, moved to start at time 0, under a
-        new schedule.
-
-        The tail's jump at time t is this pseudo-orbit's jump at time
-        k + t, so an entry (j, b) holds when this pseudo-orbit's bound at
-        time k + j is at most b; the bounds decrease, so it covers every
-        later time too. Raises when some entry is not implied that way;
-        otherwise the runs are sliced and no jump is rechecked.
-        """
-        if not self.start <= k <= self.end:
-            raise ValueError(f"time {k} lies outside {self.start}..{self.end}")
-        schedule = _normalize_schedule(schedule)
-        ks = [j for j, _ in self.schedule]
-        for j, b in schedule:
-            i = bisect_right(ks, k + j) - 1
-            if i < 0 or self.schedule[i][1] > b:
-                raise ValueError(
-                    f"tail entry ({j}, {b}) from time {k} is not implied by "
-                    "the parent schedule")
-        return PseudoOrbit._derived(schedule, (
-            (max(a, k) - k, b - k, aug_iterate(x, k))
-            for a, b, x in self.runs if b >= k))
-
     @property
     def delta(self):
         """The bound on every jump: the bound of an index-0 entry, or None."""
@@ -262,16 +237,13 @@ def shadow_pseudo_orbit(po, eps):
     """A point whose orbit traces the pseudo-orbit within eps.
 
     The point sits at time zero: its t-th image tracks po.at(t). Requires
-    a uniform jump bound po.delta <= 1/m for the modulus of eps. A
-    satellite of level below m is farther than the jump bound from every
-    other point, so each jump into or out of it is zero: a valid
-    pseudo-orbit touching one is a single run of that satellite's orbit,
-    traced by its own point at time zero. Otherwise every satellite in the
-    pseudo-orbit sits at level m or deeper; projecting to the base costs
-    at most 1/m per point, the projected runs are traced by a base point
-    within eps/2 (base_shadow, one slice per run), and the combined error
-    stays below eps. Before it is returned the result is verified at
-    every time, one window per run (space.orbit_within).
+    a uniform jump bound po.delta <= 1/m for the modulus of eps. It is the
+    one-key case of the limit tracers' stage pass (_trace_stages), the key
+    (po.start, m, base_exp) at resolution eps: a pseudo-orbit touching a
+    satellite of level below m is that satellite's orbit; otherwise the
+    projected runs are traced by a base point within eps/2 (base_shadow,
+    one slice per run), the combined error stays below eps, and the result
+    is verified at every time, one window per run (space.stages_within).
     """
     mod = shadow_modulus(eps)
     if po.delta is None:
@@ -281,16 +253,8 @@ def shadow_pseudo_orbit(po, eps):
         raise ValueError(
             f"pseudo-orbit delta {po.delta} is too coarse; tracing at eps={eps} "
             f"needs delta <= {mod.delta}")
-    if any(isinstance(x, ExtraPoint) and x.k < mod.m for _, _, x in po.runs):
-        result = po.at(0)
-    else:
-        result = BasePoint(base_shadow(
-            [(a, b, project(x)) for a, b, x in po.runs], mod.base_exp))
-    # the modulus arithmetic forbids a failure here
-    if not orbit_within(result, po, eps):  # pragma: no cover
-        raise RuntimeError("traced point failed its own verification: "
-                           f"{verify_shadow(po, result, eps)}")
-    return result
+    key = po.start, mod.m, mod.base_exp
+    return aug_iterate(_trace_stages(po, {key: eps})[key], -po.start)
 
 
 def specification_spacing(eps):
@@ -376,14 +340,15 @@ def _check_thresholds(thresholds):
 
 
 def _trace_stages(lpo, finest):
-    """{key: point at its start} for limit_shadow's stage keys (start, m,
-    base_exp), listed by start: what shadow_pseudo_orbit traces for
-    lpo.tail(start, 1/m) at resolution finest[key], in one pass in lpo's
-    own time. A valid tail touching a satellite of level below m is one
-    run of it, the last (it lies over 1/m from every other point), traced
-    by its own point. The other keys' points are one base_shadow word from
-    the first such start, each over the carrier of the run holding its
-    start, verified in one sweep (space.stages_within).
+    """{key: point at its start} for stage keys (start, m, base_exp),
+    listed by start: a point tracing lpo from that start on within
+    finest[key], lpo's jumps from there on below 1/m, all in one pass in
+    lpo's own time. A valid tail touching a satellite of level below m is
+    one run of it, the last (it lies over 1/m from every other point),
+    traced by its own point. The other keys' points are one base_shadow
+    word from the first such start s0, each over the carrier of the run
+    holding its start (the word itself at s0, whose carrier base_shadow
+    already spells below s0), verified in one sweep (space.stages_within).
     """
     runs, traced, stages = lpo.runs, {}, []
     final = runs[-1][2]
@@ -405,7 +370,8 @@ def _trace_stages(lpo, finest):
         raise RuntimeError(  # pragma: no cover
             "traced stage points failed their own verification")
     for (s, m, e), _, c in stages:
-        traced[s, m, e] = BasePoint(assemble(c, s, "", s, y, 0).shift(s))
+        word = y if s == s0 else assemble(c, s, "", s, y, 0)
+        traced[s, m, e] = BasePoint(word.shift(s))
     return traced
 
 

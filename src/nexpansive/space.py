@@ -263,12 +263,6 @@ def _sweep(y, po, bounds, strict):
     return runs, table, lambda a, b: word[a - base:b - base]
 
 
-def orbit_within(y, po, eps):
-    """True when aug_dist(aug_iterate(y, t), po.at(t)) <= eps at every
-    time t of the pseudo-orbit po: stages_within with one stage."""
-    return stages_within(y, po, [(po.start, eps, project(y))])
-
-
 def stages_within(y, po, stages):
     """True when, for each stage (start, eps, c), listed by start, y with
     its projection spelling c below start (y itself for c = project(y))

@@ -4,15 +4,15 @@ Nothing here reuses the library's mismatch search, supremum shortcuts or
 component algorithms; everything is computed from first principles (symbol
 scans, windowed maxima, boolean closure), at small scale. The exceptions
 are the library's own earlier paths, kept as references of the paths that
-replaced them: per_key_trace, and the three per-point generators
-per_point_hop, per_point_switching and per_point_drifting.
+replaced them: per_run_trace, per_key_trace, and the three per-point
+generators per_point_hop, per_point_switching and per_point_drifting.
 """
 
 import math
 from fractions import Fraction
 
-from nexpansive.base import (BiSeq, assemble, base_dist, dyadic, flip_symbol,
-                             periodic_point)
+from nexpansive.base import (BiSeq, assemble, base_dist, base_shadow, dyadic,
+                             flip_symbol, periodic_point)
 from nexpansive.chains import ChainGraph
 from nexpansive.samples import piecewise_periodic
 from nexpansive.space import (
@@ -26,7 +26,7 @@ from nexpansive.space import (
     orbit_label,
     project,
 )
-from nexpansive.shadowing import shadow_pseudo_orbit
+from nexpansive.shadowing import PseudoOrbit, shadow_modulus
 
 
 def description_span(*seqs):
@@ -386,14 +386,34 @@ def loop_spacing_radius(eps):
     return h
 
 
+def per_run_trace(po, eps):
+    """shadow_pseudo_orbit's point before it became the one-key stage
+    pass: when any run is a satellite of level below the modulus' m, the
+    point at time 0; otherwise the base point spelled from every projected
+    run at the modulus' base exponent. Unverified."""
+    mod = shadow_modulus(eps)
+    if any(isinstance(x, ExtraPoint) and x.k < mod.m for _, _, x in po.runs):
+        return po.at(0)
+    return BasePoint(base_shadow([(a, b, project(x)) for a, b, x in po.runs],
+                                 mod.base_exp))
+
+
+def rebased_tail(lpo, s, schedule):
+    """The runs of lpo from time s on, moved to start at time 0, through
+    the checked PseudoOrbit.from_runs under the schedule."""
+    return PseudoOrbit.from_runs(schedule, [
+        (max(a, s) - s, b - s, aug_iterate(x, s))
+        for a, b, x in lpo.runs if b >= s])
+
+
 def per_key_trace(lpo, finest):
     """{key: point at its start} for limit_shadow's stage keys (start, m,
-    base_exp), one trace per key: the key's tail, re-based to time 0 by
-    lpo.tail under the bound 1/m, traced by shadow_pseudo_orbit at the
-    key's finest resolution finest[key]. This is the per-key path that
-    one shared stage pass replaced, kept as its reference."""
-    return {key: shadow_pseudo_orbit(lpo.tail(key[0], Fraction(1, key[1])),
-                                     res)
+    base_exp), one trace per key: the key's tail, re-based to time 0 and
+    re-checked under the bound 1/m, traced by per_run_trace at the key's
+    finest resolution finest[key]. This is the per-key path that one
+    shared stage pass replaced, kept as its reference."""
+    return {key: per_run_trace(rebased_tail(lpo, key[0], Fraction(1, key[1])),
+                               res)
             for key, res in finest.items()}
 
 

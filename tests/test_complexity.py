@@ -8,16 +8,20 @@ result stays right (growth measured as in Goldsmith, Aiken and
 Wilkerson, *Measuring empirical computational complexity*, FSE 2007).
 """
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from nexpansive import space
-from nexpansive.base import BiSeq, dyadic, periodic_point, right_tails_agree
+from nexpansive.base import (BiSeq, base_dist, dyadic, periodic_point,
+                             right_tails_agree)
 from nexpansive.expansivity import dynamic_ball
-from nexpansive.samples import drifting_two_sided_orbit, switching_limit_orbit
-from nexpansive.shadowing import limit_shadow, two_sided_limit_shadow
+from nexpansive.samples import (drifting_two_sided_orbit, hop_pseudo_orbit,
+                                switching_limit_orbit)
+from nexpansive.shadowing import (limit_shadow, shadow_pseudo_orbit,
+                                  two_sided_limit_shadow)
 from nexpansive.space import AugSystem, BasePoint, ExtraPoint
 
 
@@ -113,8 +117,8 @@ def test_limit_trace_grows_linearly_in_the_prefix(monkeypatch):
     # The stage keys share one spelled word and one verifying sweep, and
     # the candidates' decays read one window per run, so the symbols grow
     # with the prefix: 2x per doubling of the points (2**stages), plus 10%
-    # for the windows that widen with the schedule's finer entries: 10,945
-    # -> 23,284 -> 45,613 symbols over these stages. One trace per stage
+    # for the windows that widen with the schedule's finer entries: 9,917
+    # -> 21,233 -> 41,513 symbols over these stages. One trace per stage
     # key (a re-based tail, a spelled word and a sweep each) read 11,762
     # -> 26,890 -> 54,082, 2.29x at the first doubling.
     system = AugSystem(3, "standard", 50)
@@ -146,3 +150,56 @@ def test_horizon_ball_reads_the_same_symbols_at_every_horizon(monkeypatch,
             system, center, Fraction(3, 4), mode="horizon", horizon=horizon))
         counts.append(symbols)
     assert counts[0] > 0 and len(set(counts)) == 1, counts
+
+
+def test_near_mismatch_reads_the_same_symbols_at_every_level(monkeypatch):
+    # bench/base_scaling.py's near case: the nearest mismatch of p(k) and
+    # p(k + 1).shift(k // 2) is at index -1, and the outward scan stops
+    # there, so it reads one probe window whatever the period (66 symbols
+    # at every k). Opening the scan at the Fine-Wilf cap, r = right_cap(x,
+    # y, hi + 1) - hi in place of _PROBE, reads a window as wide as the
+    # periods (526 -> 1,038 -> 2,062 -> 4,110) and fails this gate.
+    counts = []
+    for k in (64, 128, 256, 512):
+        x, y = periodic_point(k), periodic_point(k + 1).shift(k // 2)
+        _, symbols = window_symbols(monkeypatch, lambda: base_dist(x, y))
+        counts.append(symbols)
+    assert counts[0] > 0 and len(set(counts)) == 1, counts
+
+
+def test_far_mismatch_grows_linearly_in_the_level(monkeypatch):
+    # bench/base_scaling.py's far case: the nearest mismatch of p(k) and
+    # p(k + 1) lies k away, and the scan doubles its radius until it gets
+    # there, so its symbols grow linearly in k: 454 -> 968 -> 1,994 ->
+    # 4,044 over these levels, at most 2.2x per doubling. Growing the
+    # radius by _PROBE per round instead of doubling it reads k / _PROBE
+    # windows of width up to 2k, quadratic (648 -> 2,320 -> 8,736 ->
+    # 33,856), and fails this gate.
+    counts = []
+    for k in (64, 128, 256, 512):
+        x, y = periodic_point(k), periodic_point(k + 1)
+        _, symbols = window_symbols(monkeypatch, lambda: base_dist(x, y))
+        counts.append(symbols)
+    assert counts[0] > 0
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.2 * small, counts
+
+
+def test_standard_trace_grows_linearly_in_the_length(monkeypatch):
+    # shadow_pseudo_orbit checks each run break on the window its bound
+    # fixes, spells each run in one slice and verifies one window per run,
+    # so a hop orbit's trace reads symbols in proportion to its runs:
+    # 1,264 -> 2,420 -> 4,548 -> 9,205 over these lengths, at most 2.2x
+    # per doubling. Reading each break's window in base.base_shadow from
+    # the first time on, and comparing only its last 2e + 1 symbols, is
+    # quadratic (5,348 -> 22,354 -> 80,250 -> 341,591) and fails this gate.
+    counts = []
+    for length in (100, 200, 400, 800):
+        po = hop_pseudo_orbit(AugSystem(3), random.Random(5), length=length,
+                              delta_exp=6)
+        _, symbols = window_symbols(monkeypatch, lambda: (
+            shadow_pseudo_orbit(po, Fraction(1, 4))))
+        counts.append(symbols)
+    assert counts[0] > 0
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.2 * small, counts

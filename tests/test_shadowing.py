@@ -56,7 +56,8 @@ from nexpansive.samples import (
 from oracles import (brute_decay_index, brute_left_tails_agree,
                      brute_orbit_dists, brute_runs, brute_schedule_ok,
                      per_key_trace, per_point_drifting, per_point_hop,
-                     per_point_switching, point_runs)
+                     per_point_switching, per_run_trace, point_runs,
+                     rebased_tail)
 
 QUARTER = Fraction(1, 4)
 SCHEDULE_BOUNDS = (*(dyadic(e) for e in range(8)), Fraction(1, 3),
@@ -348,51 +349,6 @@ class TestRuns:
         assert po.runs == ((-5, 8, q),)
 
 
-def _bound_at(schedule, time):
-    """The tightest bound an entry of the schedule puts on the jump at a
-    time >= 0, or None: the least bound over the entries (k, b), k <= time."""
-    return min((b for k, b in schedule if k <= time), default=None)
-
-
-class TestTail:
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_tail_matches_a_fresh_pseudo_orbit(self, data):
-        po = _sample_orbits(data)
-        k = data.draw(st.integers(po.start, po.end))
-        size = data.draw(st.integers(1, 3))
-        js = sorted(set(data.draw(st.lists(st.integers(0, 12), min_size=size,
-                                           max_size=size))))
-        bounds = sorted(set(data.draw(st.lists(
-            st.sampled_from(SCHEDULE_BOUNDS), min_size=len(js),
-            max_size=len(js)))), reverse=True)
-        schedule = tuple(zip(js, bounds))
-        implied = all(
-            (parent := _bound_at(po.schedule, k + j)) is not None
-            and parent <= b for j, b in schedule)
-        if not implied:
-            with pytest.raises(ValueError, match="not implied"):
-                po.tail(k, schedule)
-            return
-        tail = po.tail(k, schedule)
-        fresh = PseudoOrbit(po.points[k - po.start:], schedule)
-        assert tail == fresh
-        assert tail.runs == fresh.runs
-
-    def test_refusals(self):
-        po = switching_limit_orbit(stages=5)   # first entry (2, 1/2)
-        assert po.tail(2, ((0, Fraction(1, 2)),)).runs == (
-            PseudoOrbit(po.points[2:], Fraction(1, 2)).runs)
-        # time 1 + 0 lies below the first schedule index
-        with pytest.raises(ValueError, match="not implied"):
-            po.tail(1, ((0, Fraction(1, 2)),))
-        # 1/4 is tighter than the parent's 1/2 at time 2
-        with pytest.raises(ValueError, match="not implied"):
-            po.tail(2, ((0, Fraction(1, 4)),))
-        with pytest.raises(ValueError, match="outside"):
-            po.tail(po.end + 1, Fraction(1, 2))
-
-
 class TestStandardShadowing:
     def test_true_orbit(self, sys3):
         x = BasePoint(BiSeq("01", "100", "0", -1))
@@ -406,7 +362,39 @@ class TestStandardShadowing:
         q = ExtraPoint(1, 5, 0)
         po = PseudoOrbit(tuple(aug_iterate(q, t) for t in range(9)),
                          Fraction(1, 64))
-        assert shadow_pseudo_orbit(po, QUARTER) == q
+        assert shadow_pseudo_orbit(po, QUARTER) == q == per_run_trace(
+            po, QUARTER)
+        # at level m itself the satellite's orbit is traced in the base
+        q = ExtraPoint(1, shadow_modulus(QUARTER).m, 0)
+        po = PseudoOrbit(tuple(aug_iterate(q, t) for t in range(9)),
+                         Fraction(1, 64))
+        assert shadow_pseudo_orbit(po, QUARTER) == BasePoint(
+            project(q)) == per_run_trace(po, QUARTER)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([AugSystem(2, "standard", 64),
+                            AugSystem(3, "standard", 64),
+                            AugSystem(3, "finite_expansive", 64)]),
+           st.integers(2, 10), st.integers(0, 2**32 - 1),
+           st.integers(1, 120), st.integers(0, 6),
+           st.sampled_from([Fraction(2), Fraction(1), Fraction(1, 2),
+                            QUARTER, Fraction(1, 8), Fraction(3, 16)]))
+    def test_equals_the_per_run_trace(self, system, delta_exp, seed, length,
+                                      back, eps):
+        # the one-key stage pass against the direct body it replaced,
+        # oracles.per_run_trace, also on the orbit moved to start at -back
+        po = hop_pseudo_orbit(system, random.Random(seed), length=length,
+                              delta_exp=delta_exp)
+        back = min(back, po.end)
+        moved = PseudoOrbit.from_runs(po.delta, [
+            (a - back, b - back, aug_iterate(x, back)) for a, b, x in po.runs])
+        for orbit in (po, moved):
+            if orbit.delta > shadow_modulus(eps).delta:
+                with pytest.raises(ValueError, match="too coarse"):
+                    shadow_pseudo_orbit(orbit, eps)
+            else:
+                assert (shadow_pseudo_orbit(orbit, eps)
+                        == per_run_trace(orbit, eps))
 
     def test_coarse_delta_rejected(self, sys3):
         po = PseudoOrbit((BasePoint(BiSeq("0")),), Fraction(1, 16))
@@ -596,7 +584,7 @@ class TestDecay:
         split = -po.start
         for point, half, want in (
                 (mirror_point(y), _mirror_limit_orbit(po), dists[split::-1]),
-                (y, po.tail(0, po.schedule), dists[split:])):
+                (y, rebased_tail(po, 0, po.schedule), dists[split:])):
             assert _decays(point, half, thresholds) == tuple(
                 (th, brute_decay_index(want, th)) for th in thresholds)
         worst = max(dists)
@@ -642,8 +630,8 @@ def _limit_shadow_per_stage(sys, lpo, thresholds):
         if entry is None or entry[0] > horizon - 2:
             break
         start = entry[0]
-        tail = lpo.tail(start, mod.delta)
-        stages.append((res, start, mod.delta, shadow_pseudo_orbit(tail, res)))
+        tail = rebased_tail(lpo, start, mod.delta)
+        stages.append((res, start, mod.delta, per_run_trace(tail, res)))
     if len(stages) < 3:
         raise ScheduleError(
             "prefix too short relative to the schedule: "
@@ -701,7 +689,7 @@ class TestStageSharing:
     def test_drifting_halves(self, sys3, half):
         ts = drifting_two_sided_orbit(half=half)
         thresholds = tuple(dyadic(t) for t in range(1, 5))
-        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+        for lpo in (_mirror_limit_orbit(ts), rebased_tail(ts, 0, ts.schedule)):
             _same_limit_outcome(sys3, lpo, thresholds)
 
     def test_one_word_and_one_sweep_per_call(self, sys3, monkeypatch):
@@ -783,7 +771,7 @@ class TestSharedStagePass:
     def test_drifting_halves(self, sys3, half):
         ts = drifting_two_sided_orbit(half=half)
         thresholds = tuple(dyadic(t) for t in range(1, 5))
-        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+        for lpo in (_mirror_limit_orbit(ts), rebased_tail(ts, 0, ts.schedule)):
             assert _shared_stage_pass(sys3, lpo, thresholds)
 
     @settings(max_examples=60, deadline=None)
@@ -795,8 +783,27 @@ class TestSharedStagePass:
                                       defect_step=step)
         thresholds = tuple(dyadic(t) for t in range(1, 5))
         sys3 = AugSystem(3, "standard", 50)
-        for lpo in (_mirror_limit_orbit(ts), ts.tail(0, ts.schedule)):
+        for lpo in (_mirror_limit_orbit(ts), rebased_tail(ts, 0, ts.schedule)):
             _shared_stage_pass(sys3, lpo, thresholds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120),
+           st.lists(st.tuples(st.integers(0, 119), st.integers(1, 8)),
+                    min_size=1, max_size=4))
+    def test_keys_over_differing_carriers(self, seed, length, picks):
+        # a hop orbit drifts between periodic patterns, so a later key's
+        # start lies in a run whose carrier differs from the word spelled
+        # below it, and that key's point is spliced over its own carrier;
+        # the jumps stay below 2**-9, under every stage's 1/m
+        po = hop_pseudo_orbit(AugSystem(3, "standard", 64),
+                              random.Random(seed), length=length,
+                              delta_exp=9)
+        finest = {}
+        for s, j in sorted((min(s, po.end), j) for s, j in picks):
+            mod = shadow_modulus(AMBIENT / (j + 1))
+            finest[s, mod.m, mod.base_exp] = mod.eps
+        assert shadowing._trace_stages(po, finest) == per_key_trace(po,
+                                                                    finest)
 
     def test_mixed_branches(self):
         # one key traces in the base and three take the satellite's orbit

@@ -27,7 +27,6 @@ from nexpansive.space import (
     failure_times,
     mirror_point,
     orbit_label,
-    orbit_within,
     orbit_worst,
     project,
     stages_within,
@@ -501,8 +500,15 @@ class TestDistBelow:
                 assert dist_below(x, y, bound, t) == (d < bound), (x, y, t)
 
 
+def orbit_within(y, po, eps):
+    """y within eps of po.at(t) at every time t of po: stages_within with
+    one stage at po.start, y spelling its own projection below it."""
+    return stages_within(y, po, [(po.start, eps, project(y))])
+
+
 class TestOrbitWithin:
-    """orbit_within against all(d <= eps) over brute_orbit_dists."""
+    """One stage of stages_within from po.start (orbit_within) against
+    all(d <= eps) over brute_orbit_dists."""
 
     @staticmethod
     def _agree(y, po):
@@ -662,9 +668,10 @@ class TestStagesWithin:
     def test_one_stage_is_orbit_within(self):
         ts = drifting_two_sided_orbit(half=24)
         y = BasePoint(project(ts.at(0)))
+        dists = brute_orbit_dists(y, ts.points, ts.start)
         for eps in (Fraction(1, 2 ** e) for e in range(1, 12)):
             assert (stages_within(y, ts, [(ts.start, eps, project(y))])
-                    == orbit_within(y, ts, eps))
+                    == all(d <= eps for d in dists))
 
 
 def test_worst_ties_across_tag_levels_go_to_the_first_time():
