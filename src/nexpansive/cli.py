@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import sys as _sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,13 +118,15 @@ def _checked_overrides(overrides, flags):
     return overrides
 
 
-@contextmanager
-def _invalid_input():
-    """Report the library's ValueError for bad input as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+class _Command(click.Command):
+    """A command whose invalid input, a library ValueError or a path that
+    cannot be written, is reported as a usage error: exit 2, no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(str(exc), ctx) from None
 
 
 class _Run:
@@ -145,8 +146,7 @@ class _Run:
                 system.update(
                     _checked_overrides(overrides.pop("system", {}), system))
             self.params.update(_checked_overrides(overrides, self.params))
-        with _invalid_input():
-            self.system = AugSystem(**system)
+        self.system = AugSystem(**system)
         self.out = Path(out)
 
     def param(self, name):
@@ -195,6 +195,9 @@ def main():
     """Exact verification experiments for the augmented shift construction."""
 
 
+main.command_class = _Command
+
+
 @main.command()
 @_system_options
 @click.option("--k-hi", default=12, show_default=True,
@@ -204,8 +207,7 @@ def construct(**flags):
     run = _Run(**flags)
     sys = run.system
     k_hi = run.param("k_hi")
-    with _invalid_input():
-        pts = sys.extra_points(k_hi)
+    pts = sys.extra_points(k_hi)
     per_level = {k: sum(1 for p in pts if p.k == k) for k in range(1, k_hi + 1)}
     ok = len(pts) == sys.extra_count(k_hi) == len(set(pts))
     payload = {
@@ -229,11 +231,10 @@ def construct(**flags):
 def ball(**flags):
     """Compute one dynamic ball."""
     run = _Run(**flags)
-    with _invalid_input():
-        report = dynamic_ball(run.system, _parse_point(run.param("center")),
-                              run.fraction("radius"), k_hi=run.param("k_hi"),
-                              mode=run.param("mode"),
-                              horizon=run.param("horizon"))
+    report = dynamic_ball(run.system, _parse_point(run.param("center")),
+                          run.fraction("radius"), k_hi=run.param("k_hi"),
+                          mode=run.param("mode"),
+                          horizon=run.param("horizon"))
     run.emit(report, ok=True)
 
 
@@ -252,18 +253,16 @@ def expansivity(**flags):
     sys = run.system
     radius = run.fraction("c")
     k_hi = run.param("k_hi")
-    with _invalid_input():
-        sample = construction_sample(sys, extras_k_hi=k_hi,
-                                     orbits_k_hi=min(k_hi, 12),
-                                     random_count=run.param("random_count"),
-                                     seed=run.param("seed"))
-        cert = check_expansivity(sys, radius, sample)
+    sample = construction_sample(sys, extras_k_hi=k_hi,
+                                 orbits_k_hi=min(k_hi, 12),
+                                 random_count=run.param("random_count"),
+                                 seed=run.param("seed"))
+    cert = check_expansivity(sys, radius, sample)
     payload = {"certificate": cert, "sample_size": len(sample)}
     ok = isinstance(cert, ExpansivityCertificate)
     if sys.variant == "standard" and sys.n >= 2:
-        with _invalid_input():
-            falsifiers = [lower_expansivity_falsifier(sys, r)
-                          for r in (radius, radius / 2, radius / 4)]
+        falsifiers = [lower_expansivity_falsifier(sys, r)
+                      for r in (radius, radius / 2, radius / 4)]
         payload["lower_bound_falsifiers"] = falsifiers
         ok = ok and all(len(f.members) == sys.n for f in falsifiers)
     run.emit(payload, ok)
@@ -285,14 +284,12 @@ def shadow(**flags):
     run = _Run(**flags)
     eps = run.fraction("eps")
     rng = random.Random(run.param("seed"))
-    with _invalid_input():
-        mod = shadow_modulus(eps)
+    mod = shadow_modulus(eps)
     checks = []
     for index in range(run.param("orbits")):
-        with _invalid_input():
-            po = hop_pseudo_orbit(run.system, rng, length=run.param("length"),
-                                  delta_exp=run.param("delta_exp"))
-            chk = verify_shadow(po, shadow_pseudo_orbit(po, eps), eps)
+        po = hop_pseudo_orbit(run.system, rng, length=run.param("length"),
+                              delta_exp=run.param("delta_exp"))
+        chk = verify_shadow(po, shadow_pseudo_orbit(po, eps), eps)
         checks.append({"orbit": index, "ok": chk.ok,
                        "worst_index": chk.worst_index,
                        "worst_dist": chk.worst_dist})
@@ -314,10 +311,9 @@ def classes(**flags):
     k_hi = run.param("k_hi")
     eps = (Fraction(1, 2 * k_hi) if run.param("eps") is None
            else run.fraction("eps"))
-    with _invalid_input():
-        sample = construction_sample(run.system, extras_k_hi=k_hi,
-                                     orbits_k_hi=k_hi, random_count=0)
-        graph = build_chain_graph(sample, eps)
+    sample = construction_sample(run.system, extras_k_hi=k_hi,
+                                 orbits_k_hi=k_hi, random_count=0)
+    graph = build_chain_graph(sample, eps)
     part = chain_classes(graph)
     satellite_classes = sum(
         1 for cls in part.classes if all(isinstance(p, ExtraPoint) for p in cls))
@@ -347,9 +343,8 @@ def classes(**flags):
 def stable_count(**flags):
     """Count stable classes inside one local stable set."""
     run = _Run(**flags)
-    with _invalid_input():
-        report = stable_class_count(run.system, _parse_point(run.param("center")),
-                                    run.fraction("eps"))
+    report = stable_class_count(run.system, _parse_point(run.param("center")),
+                                run.fraction("eps"))
     run.emit(report, ok=True)
 
 
@@ -362,10 +357,9 @@ def stable_count(**flags):
 def stable_radius(**flags):
     """Uniform local-stable radius along the orbit, verified over a window."""
     run = _Run(**flags)
-    with _invalid_input():
-        radius, failures = orbit_stable_inclusion_failures(
-            run.system, _parse_point(run.param("center")), run.fraction("eps"),
-            window=run.param("window"))
+    radius, failures = orbit_stable_inclusion_failures(
+        run.system, _parse_point(run.param("center")), run.fraction("eps"),
+        window=run.param("window"))
     payload = {"radius": radius, "window": run.param("window"),
                "failures": failures}
     run.emit(payload, ok=not failures)
@@ -381,11 +375,10 @@ def stable_radius(**flags):
 def limit_shadow_cmd(**flags):
     """Limit-trace the switching pseudo-orbit and report decay indices."""
     run = _Run(**flags)
-    with _invalid_input():
-        lpo = switching_limit_orbit(run.param("word_a"), run.param("word_b"),
-                                    stages=run.param("stages"))
-        report = limit_shadow(run.system, lpo,
-                              thresholds=run.fractions("thresholds"))
+    lpo = switching_limit_orbit(run.param("word_a"), run.param("word_b"),
+                                stages=run.param("stages"))
+    report = limit_shadow(run.system, lpo,
+                          thresholds=run.fractions("thresholds"))
     run.emit(report, ok=True)
 
 
@@ -400,14 +393,13 @@ def two_sided(**flags):
     """Two-sided limit trace of a drifting pseudo-orbit."""
     run = _Run(**flags)
     half = run.param("half")
-    with _invalid_input():
-        tslpo = drifting_two_sided_orbit(run.param("past_word"),
-                                         run.param("future_word"), half=half)
-        try:
-            report = two_sided_limit_shadow(
-                run.system, tslpo, thresholds=run.fractions("thresholds"))
-        except ScheduleError as exc:
-            raise ScheduleError(f"{exc}; try a --half above {half}") from None
+    tslpo = drifting_two_sided_orbit(run.param("past_word"),
+                                     run.param("future_word"), half=half)
+    try:
+        report = two_sided_limit_shadow(
+            run.system, tslpo, thresholds=run.fractions("thresholds"))
+    except ScheduleError as exc:
+        raise ScheduleError(f"{exc}; try a --half above {half}") from None
     run.emit(report, ok=True)
 
 
@@ -422,8 +414,7 @@ def metric_axioms(**flags):
     """Exact symmetry and triangle inequality over seeded random triples."""
     run = _Run(**flags)
     rng = random.Random(run.param("seed"))
-    with _invalid_input():
-        k_hi = run.system.level_bound(run.param("k_hi"))
+    k_hi = run.system.level_bound(run.param("k_hi"))
     violations = []
     for index in range(run.param("trials")):
         a, b, c = random_triple(run.system, rng, k_hi)

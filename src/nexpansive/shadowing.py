@@ -36,12 +36,11 @@ from nexpansive.space import (
     stages_within,
 )
 from nexpansive.expansivity import (
+    _stable_entry_time,
     in_local_stable,
     in_stable_set,
     local_stable_radius,
     stable_class_count,
-    StabilizationNotReached,
-    stabilization_index,
 )
 
 
@@ -422,10 +421,9 @@ def limit_shadow(sys, lpo, thresholds=None):
         LimitStage(resolution=res, start_index=key[0],
                    gap_bound=Fraction(1, key[1]), consistent=consistent[key])
         for res, key in stages)
-    try:
-        stab, _ = stabilization_index(sys, first, AMBIENT, 16)
-    except StabilizationNotReached:
-        stab = 0
+    # stabilization_index(sys, first, AMBIENT, 16) without its class count
+    entry = _stable_entry_time(first, AMBIENT, sys.multiplicity)
+    stab = entry if entry < 16 else 0
     anchor = aug_iterate(first, stab)
     reps = stable_class_count(sys, anchor, AMBIENT).representatives
     candidates = [aug_iterate(r, -stab) for r in reps]

@@ -181,6 +181,25 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         assert result.exit_code == 2, (args, result.output)
 
 
+@pytest.mark.parametrize("command", ["construct", "classes"])
+def test_unwritable_paths_exit_two(runner, tmp_path, command):
+    # an --out that is a file, or an --edges-csv in a missing directory, is
+    # invalid input: exit 2 with a message naming the path, no traceback
+    if command == "construct":
+        path = tmp_path / "taken"
+        path.write_text("")
+        args = ["construct", "--k-hi", "2", "--out", str(path)]
+    else:
+        path = tmp_path / "missing" / "edges.csv"
+        args = ["classes", "--k-hi", "2", "--edges-csv", str(path),
+                "--out", str(tmp_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert not isinstance(result.exception, OSError)
+    assert str(path) in result.output
+
+
 def test_config_overrides_flags(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"n": 5}, "k_hi": 4}))

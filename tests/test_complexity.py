@@ -153,12 +153,13 @@ def test_horizon_ball_reads_the_same_symbols_at_every_horizon(monkeypatch,
 
 
 def test_near_mismatch_reads_the_same_symbols_at_every_level(monkeypatch):
-    # bench/base_scaling.py's near case: the nearest mismatch of p(k) and
-    # p(k + 1).shift(k // 2) is at index -1, and the outward scan stops
-    # there, so it reads one probe window whatever the period (66 symbols
-    # at every k). Opening the scan at the Fine-Wilf cap, r = right_cap(x,
-    # y, hi + 1) - hi in place of _PROBE, reads a window as wide as the
-    # periods (526 -> 1,038 -> 2,062 -> 4,110) and fails this gate.
+    # bench/run.py's case "base_dist near k=K": the nearest mismatch of
+    # p(k) and p(k + 1).shift(k // 2) is at index -1, and the outward scan
+    # stops there, so it reads one probe window whatever the period (66
+    # symbols at every k). Opening the scan at the Fine-Wilf cap, r =
+    # right_cap(x, y, hi + 1) - hi in place of _PROBE, reads a window as
+    # wide as the periods (526 -> 1,038 -> 2,062 -> 4,110) and fails this
+    # gate.
     counts = []
     for k in (64, 128, 256, 512):
         x, y = periodic_point(k), periodic_point(k + 1).shift(k // 2)
@@ -168,9 +169,9 @@ def test_near_mismatch_reads_the_same_symbols_at_every_level(monkeypatch):
 
 
 def test_far_mismatch_grows_linearly_in_the_level(monkeypatch):
-    # bench/base_scaling.py's far case: the nearest mismatch of p(k) and
-    # p(k + 1) lies k away, and the scan doubles its radius until it gets
-    # there, so its symbols grow linearly in k: 454 -> 968 -> 1,994 ->
+    # bench/run.py's case "base_dist far k=K": the nearest mismatch of
+    # p(k) and p(k + 1) lies k away, and the scan doubles its radius until
+    # it gets there, so its symbols grow linearly in k: 454 -> 968 -> 1,994 ->
     # 4,044 over these levels, at most 2.2x per doubling. Growing the
     # radius by _PROBE per round instead of doubling it reads k / _PROBE
     # windows of width up to 2k, quadratic (648 -> 2,320 -> 8,736 ->

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexpansive import shadowing
+from nexpansive import expansivity, shadowing
 from nexpansive.base import (BiSeq, base_shadow, dyadic, flip_symbol,
                              periodic_point)
 from nexpansive.space import (
@@ -720,6 +720,22 @@ class TestStageSharing:
         assert len(report.stages) == 8 and len(finest) == 4
         assert words == [(report.stages[0].start_index, lpo.end)]
         assert sweeps == [[(s, eps) for (s, _), eps in finest.items()]]
+
+    def test_one_class_count_per_call(self, sys3, monkeypatch):
+        # the candidates' iterate is the stable entry time itself, so the
+        # only class count is the candidates' own; stabilization_index
+        # would count the classes at iterate 16 as well
+        centers = []
+        count = expansivity.stable_class_count
+
+        def spy(sys, center, eps):
+            centers.append(center)
+            return count(sys, center, eps)
+
+        monkeypatch.setattr(expansivity, "stable_class_count", spy)
+        monkeypatch.setattr(shadowing, "stable_class_count", spy)
+        limit_shadow(sys3, switching_limit_orbit(stages=10))
+        assert len(centers) == 1
 
 
 def _mixed_branch_orbit():
